@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import threading
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -89,15 +88,40 @@ class ARQuiver:
         self.quiver = quiver
         self.indecs = indecs
         self.arrows = arrows
-        self._tau = dict(tau_pairs)
+        tau = dict(tau_pairs)
+        # tau_ids[x] is the id of tau X, None exactly on projectives.
+        self.tau_ids = tuple(tau.get(x.id) for x in indecs)
         self._tau_inv = {x: z for z, x in tau_pairs}
         self.by_dim = {x.dim: x for x in indecs}
         self._proj = {x.projective_vertex: x for x in indecs if x.is_projective}
         self._inj = {x.injective_vertex: x for x in indecs if x.is_injective}
-        self._hom_cache: dict[tuple[int, int], int] = {}
-        self._hom_lock = threading.Lock()
-        self._special: bool | None = None
-        self._contexts: dict[int, object] = {}
+        self._hom = self._hom_table()
+        simples = [self.simple(i).id for i in range(1, self.rank + 1)]
+        self._special = all(row[s] <= 1 for row in self._hom for s in simples)
+        # Per-vertex posets, filled on first use by crystal_ops.hom_poset.
+        self._posets: dict[int, object] = {}
+
+    def _hom_table(self) -> tuple[tuple[int, ...], ...]:
+        """dim Hom(X, Y) for every pair, by shifting both back along tau orbits.
+
+        Rows are filled in id order; tau X always has a smaller id than X,
+        so the row it refers to already exists.
+        """
+        rows: list[tuple[int, ...]] = []
+        for x in self.indecs:
+            if x.is_projective:
+                row = tuple(y.dim[x.projective_vertex - 1] for y in self.indecs)
+            else:
+                tx = self.tau_ids[x.id]
+                prev, tdim = rows[tx], self.indecs[tx].dim
+                row = tuple(
+                    ringel_form(self.quiver, x.dim, y.dim) + tdim[y.projective_vertex - 1]
+                    if y.is_projective
+                    else prev[self.tau_ids[y.id]]
+                    for y in self.indecs
+                )
+            rows.append(row)
+        return tuple(rows)
 
     @property
     def rank(self) -> int:
@@ -121,8 +145,7 @@ class ARQuiver:
 
     def tau(self, x: Indec | int) -> Indec | None:
         """AR translate; absent exactly on projectives."""
-        xid = self.indec(x).id
-        tid = self._tau.get(xid)
+        tid = self.tau_ids[self.indec(x).id]
         return None if tid is None else self.indecs[tid]
 
     def tau_inv(self, x: Indec | int) -> Indec | None:
@@ -132,23 +155,8 @@ class ARQuiver:
         return None if tid is None else self.indecs[tid]
 
     def hom_dim(self, x: Indec | int, y: Indec | int) -> int:
-        """dim Hom(X, Y), by shifting both arguments back along tau orbits."""
-        x, y = self.indec(x), self.indec(y)
-        key = (x.id, y.id)
-        with self._hom_lock:
-            cached = self._hom_cache.get(key)
-        if cached is not None:
-            return cached
-        if x.is_projective:
-            val = y.dim[x.projective_vertex - 1]
-        elif y.is_projective:
-            tx = self.tau(x)
-            val = ringel_form(self.quiver, x.dim, y.dim) + tx.dim[y.projective_vertex - 1]
-        else:
-            val = self.hom_dim(self.tau(x), self.tau(y))
-        with self._hom_lock:
-            self._hom_cache[key] = val
-        return val
+        """dim Hom(X, Y), read from the table filled at construction."""
+        return self._hom[self.indec(x).id][self.indec(y).id]
 
     def ext_dim(self, x: Indec | int, y: Indec | int) -> int:
         """dim Ext^1(X, Y) = dim Hom(Y, tau X), zero when X is projective."""
@@ -164,12 +172,6 @@ class ARQuiver:
 
     def is_special(self) -> bool:
         """Whether every indecomposable maps to each simple with multiplicity <= 1."""
-        if self._special is None:
-            self._special = all(
-                self.hom_dim(x, self.simple(i)) <= 1
-                for i in range(1, self.rank + 1)
-                for x in self.indecs
-            )
         return self._special
 
     def to_json(self) -> str:
@@ -185,7 +187,7 @@ class ARQuiver:
             "quiver": self.quiver.text_spec(),
             "indecs": objs,
             "arrows": [list(a) for a in self.arrows],
-            "tau": sorted([z, x] for z, x in self._tau.items()),
+            "tau": [[z, x] for z, x in enumerate(self.tau_ids) if x is not None],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -201,8 +203,9 @@ class ARQuiver:
             lines.append(f'  n{x.id} [label="{label}"];')
         for a, b in self.arrows:
             lines.append(f"  n{a} -> n{b};")
-        for z, x in sorted(self._tau.items()):
-            lines.append(f'  n{z} -> n{x} [style=dashed, constraint=false, label="tau"];')
+        for z, x in enumerate(self.tau_ids):
+            if x is not None:
+                lines.append(f'  n{z} -> n{x} [style=dashed, constraint=false, label="tau"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -334,9 +337,6 @@ class ModuleClass:
     def mult(self, x: Indec | int) -> int:
         return self.mults[x.id if isinstance(x, Indec) else x]
 
-    def summand_count(self) -> int:
-        return sum(self.mults)
-
     def is_zero(self) -> bool:
         return not any(self.mults)
 
@@ -380,12 +380,13 @@ def module_from_json(ar: ARQuiver, text: str) -> ModuleClass:
         raise QuiverParseError("module JSON must be an object")
     counts: dict[DimVector, int] = {}
     for key, val in obj.items():
+        if type(val) is not int:  # rejects floats, strings and booleans alike
+            raise QuiverParseError(f"bad module entry {key!r}: {val!r}")
         try:
             dim = tuple(int(p) for p in key.split(","))
-            k = int(val)
         except ValueError as exc:
             raise QuiverParseError(f"bad module entry {key!r}: {val!r}") from exc
-        counts[dim] = counts.get(dim, 0) + k
+        counts[dim] = counts.get(dim, 0) + val
     return module_from_dim_dict(ar, counts)
 
 
@@ -398,12 +399,7 @@ def module_to_json(ar: ARQuiver, m: ModuleClass) -> str:
 
 def tau_inv_class(ar: ARQuiver, m: ModuleClass) -> ModuleClass:
     """Class of tau^{-1}M: mu_B(tau^{-1}M) = mu_{tau B}(M); injectives drop out."""
-    mults = [0] * len(ar)
-    for b in ar.indecs:
-        tb = ar.tau(b)
-        if tb is not None:
-            mults[b.id] = m.mults[tb.id]
-    return ModuleClass(tuple(mults))
+    return ModuleClass(tuple(0 if t is None else m.mults[t] for t in ar.tau_ids))
 
 
 def thick_vertices(ar: ARQuiver) -> frozenset[int]:

@@ -151,7 +151,7 @@ def _cmd_apply(args) -> int:
             if m is None:
                 break
     if m is None:
-        print("null" if args.format == "json" else "null")
+        print("null")
         return 1 if args.strict else 0
     if args.format == "json":
         print(_dump(_class_stats(ar, m)))

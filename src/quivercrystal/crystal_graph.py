@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from .ar_quiver import ARQuiver, ModuleClass, build_ar, module_to_json, zero_module
 from .crystal_ops import e_tilde, epsilon_i, f_tilde, phi_i, weight_of
 from .dynkin import DimVector, Quiver, coroot_pairing, parse_quiver, positive_roots
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, QuiverParseError, ResourceLimitError
 
 __all__ = [
     "CrystalGraph",
@@ -46,9 +46,6 @@ class CrystalGraph:
     @property
     def root(self) -> Key:
         return self.levels[0][0]
-
-    def vertex_keys(self) -> list[Key]:
-        return [k for level in self.levels for k in level]
 
     def out_edges(self) -> dict[tuple[Key, int], Key]:
         return {(src, i): tgt for src, i, tgt in self.edges}
@@ -129,9 +126,10 @@ def generate(
 
 def _vertex_data(ar: ARQuiver, key: Key, level: int) -> VertexData:
     m = ModuleClass(key)
+    wt = weight_of(ar, m)
     eps = tuple(epsilon_i(ar, m, i) for i in range(1, ar.rank + 1))
-    phi = tuple(phi_i(ar, m, i) for i in range(1, ar.rank + 1))
-    return VertexData(level, eps, phi, weight_of(ar, m))
+    phi = tuple(e + coroot_pairing(ar.quiver, i, wt) for i, e in enumerate(eps, 1))
+    return VertexData(level, eps, phi, wt)
 
 
 def kostant_count(q: Quiver, beta: DimVector) -> int:
@@ -245,26 +243,38 @@ def compare_orientations(q1: Quiver, q2: Quiver, depth: int) -> bool:
 
 
 def graph_from_json(text: str) -> CrystalGraph:
-    """Rebuild a generated graph from its JSON export."""
-    doc = json.loads(text)
-    ar = build_ar(parse_quiver(doc["quiver"]))
-    depth = int(doc["depth"])
+    """Rebuild a generated graph from its JSON export.
+
+    Malformed or inconsistent documents raise QuiverParseError.
+    """
     from .ar_quiver import module_from_json
 
-    vertices: dict[Key, VertexData] = {}
-    levels: list[list[Key]] = [[] for _ in range(depth + 1)]
-    for v in doc["vertices"]:
-        key = module_from_json(ar, v["key"]).mults
-        vertices[key] = VertexData(
-            int(v["level"]),
-            tuple(v["epsilon"]),
-            tuple(v["phi"]),
-            tuple(v["weight"]),
-        )
-        levels[int(v["level"])].append(key)
-    edges = [
-        (module_from_json(ar, s).mults, int(i), module_from_json(ar, t).mults)
-        for s, i, t in doc["edges"]
-    ]
+    try:
+        doc = json.loads(text)
+        ar = build_ar(parse_quiver(doc["quiver"]))
+        depth = int(doc["depth"])
+        vertices: dict[Key, VertexData] = {}
+        levels: list[list[Key]] = [[] for _ in range(depth + 1)]
+        for v in doc["vertices"]:
+            key = module_from_json(ar, v["key"]).mults
+            level = int(v["level"])
+            if not 0 <= level <= depth:
+                raise QuiverParseError(f"vertex level {level} outside 0..{depth}")
+            vertices[key] = VertexData(
+                level,
+                tuple(v["epsilon"]),
+                tuple(v["phi"]),
+                tuple(v["weight"]),
+            )
+            levels[level].append(key)
+        edges = [
+            (module_from_json(ar, s).mults, int(i), module_from_json(ar, t).mults)
+            for s, i, t in doc["edges"]
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise QuiverParseError(f"bad graph JSON: {exc!r}") from exc
+    for s, _, t in edges:
+        if s not in vertices or t not in vertices:
+            raise QuiverParseError("edge endpoint is not a vertex of the graph")
     levels = [sorted(level) for level in levels]
     return CrystalGraph(ar, depth, vertices, edges, levels)

@@ -46,7 +46,12 @@ class Antichain:
 
 
 class HomPoset:
-    """Poset of indecomposables mapping onto S(i), ordered by Hom != 0."""
+    """Poset of indecomposables mapping onto S(i), ordered by Hom != 0.
+
+    Besides the order it holds every table the crystal operators read:
+    the antichains, their down-sets (as position sets), their exchange
+    sets and the tau translates of the elements.
+    """
 
     def __init__(self, ar: ARQuiver, i: int):
         if not 1 <= i <= ar.rank:
@@ -63,7 +68,7 @@ class HomPoset:
         )
         self._pos = {xid: k for k, xid in enumerate(self.element_ids)}
         n = len(self.element_ids)
-        self.leq = tuple(
+        leq = self.leq = tuple(
             tuple(
                 ar.hom_dim(a, b) >= 1
                 for b in self.element_ids
@@ -76,11 +81,42 @@ class HomPoset:
             for a in range(n)
             for b in range(n)
             if a != b
-            and self.leq[a][b]
+            and leq[a][b]
             and not any(
-                self.leq[a][c] and self.leq[c][b] for c in range(n) if c not in (a, b)
+                leq[a][c] and leq[c][b] for c in range(n) if c not in (a, b)
             )
         )
+        chains: list[tuple[int, ...]] = []
+
+        def extend(start: int, chosen: list[int]) -> None:
+            for k in range(start, n):
+                if all(not (leq[c][k] or leq[k][c]) for c in chosen):
+                    chosen.append(k)
+                    chains.append(tuple(chosen))
+                    extend(k + 1, chosen)
+                    chosen.pop()
+
+        extend(0, [])
+        self.antichains = tuple(
+            Antichain(tuple(self.element_ids[k] for k in ch)) for ch in chains
+        )
+        self._index = {a.members: idx for idx, a in enumerate(self.antichains)}
+        # v <= w among antichains exactly when downsets[v] <= downsets[w].
+        self.downsets = tuple(
+            frozenset(b for b in range(n) if any(leq[b][c] for c in ch))
+            for ch in chains
+        )
+        self.exchange = tuple(
+            tuple(
+                b
+                for b in range(n)
+                if b not in down
+                and not any(leq[c][b] for c in range(n) if c != b and c not in down)
+            )
+            for down in self.downsets
+        )
+        # tau ids aligned with positions; None marks the projective.
+        self.tau_ids = tuple(ar.tau_ids[xid] for xid in self.element_ids)
 
     def _check_partial_order(self) -> None:
         n = len(self.element_ids)
@@ -96,9 +132,6 @@ class HomPoset:
 
     def __len__(self) -> int:
         return len(self.element_ids)
-
-    def elements(self) -> tuple[Indec, ...]:
-        return tuple(self.ar.indecs[xid] for xid in self.element_ids)
 
     def pos(self, x: Indec | int) -> int:
         xid = x.id if isinstance(x, Indec) else x
@@ -127,15 +160,32 @@ class HomPoset:
             raise InvariantViolation("hom poset has no unique maximum")
         return self.ar.indecs[self.element_ids[highs[0]]]
 
+    def index_of(self, v: Antichain) -> int:
+        try:
+            return self._index[tuple(v.members)]
+        except KeyError:
+            raise DomainError(f"{v} is not an antichain of this poset") from None
+
+
+# The operators call _poset, not hom_poset, so a wrapper installed on the
+# public name (as perfbench's tracer does) sees only outside callers.
+def _poset(ar: ARQuiver, i: int) -> HomPoset:
+    p = ar._posets.get(i)
+    return p if p is not None else ar._posets.setdefault(i, HomPoset(ar, i))
+
 
 def hom_poset(ar: ARQuiver, i: int) -> HomPoset:
-    """The poset for vertex i, cached on the AR quiver."""
-    return _context(ar, i).poset
+    """The poset for vertex i, built once per AR quiver.
+
+    Concurrent first calls may each build it, but all of them return the
+    one object that was stored first.
+    """
+    return _poset(ar, i)
 
 
 def antichains(p: HomPoset) -> tuple[Antichain, ...]:
     """All nonempty antichains, in lexicographic order of member positions."""
-    return _context(p.ar, p.vertex).antichains
+    return p.antichains
 
 
 def antichain_leq(p: HomPoset, v: Antichain, w: Antichain) -> bool:
@@ -145,122 +195,51 @@ def antichain_leq(p: HomPoset, v: Antichain, w: Antichain) -> bool:
     )
 
 
-class _Context:
-    """Per-(AR quiver, vertex) tables shared by the crystal operations."""
-
-    def __init__(self, ar: ARQuiver, i: int):
-        self.ar = ar
-        self.vertex = i
-        self.poset = HomPoset(ar, i)
-        p = self.poset
-        n = len(p)
-        chains: list[tuple[int, ...]] = []
-
-        def extend(start: int, chosen: list[int]) -> None:
-            for k in range(start, n):
-                if all(not (p.leq[c][k] or p.leq[k][c]) for c in chosen):
-                    chosen.append(k)
-                    chains.append(tuple(chosen))
-                    extend(k + 1, chosen)
-                    chosen.pop()
-
-        extend(0, [])
-        self.antichains = tuple(
-            Antichain(tuple(p.element_ids[k] for k in ch)) for ch in chains
-        )
-        self._index = {a.members: idx for idx, a in enumerate(self.antichains)}
-        # Down-sets, exchange sets and the order among antichains, by position.
-        self.downsets = []
-        self.exchange = []
-        for ch in chains:
-            down = tuple(
-                b for b in range(n) if any(p.leq[b][c] for c in ch)
-            )
-            down_set = set(down)
-            outside = [b for b in range(n) if b not in down_set]
-            minimal = tuple(
-                b
-                for b in outside
-                if not any(p.leq[c][b] for c in outside if c != b)
-            )
-            self.downsets.append(down)
-            self.exchange.append(minimal)
-        self.below = tuple(
-            tuple(
-                all(any(p.leq[b][c] for c in cw) for b in cv)
-                for cw in chains
-            )
-            for cv in chains
-        )
-        # tau ids aligned with poset positions; None marks the projective.
-        self.tau_ids = tuple(
-            None if (t := ar.tau(xid)) is None else t.id for xid in p.element_ids
-        )
-
-    def index_of(self, v: Antichain) -> int:
-        try:
-            return self._index[tuple(v.members)]
-        except KeyError:
-            raise DomainError(f"{v} is not an antichain of this poset") from None
-
-    def scores(self, m: ModuleClass) -> list[int]:
-        contrib = [
-            m.mults[xid] - (m.mults[t] if t is not None else 0)
-            for xid, t in zip(self.poset.element_ids, self.tau_ids)
-        ]
-        return [sum(contrib[b] for b in down) for down in self.downsets]
-
-
-def _context(ar: ARQuiver, i: int) -> _Context:
-    ctx = ar._contexts.get(i)
-    if ctx is None:
-        ctx = _Context(ar, i)
-        ar._contexts[i] = ctx
-    return ctx
+def _contributions(p: HomPoset, m: ModuleClass) -> list[int]:
+    """mu_B(M) - mu_{tau B}(M) for each poset element B, by position."""
+    mults = m.mults
+    return [
+        mults[xid] - (mults[t] if t is not None else 0)
+        for xid, t in zip(p.element_ids, p.tau_ids)
+    ]
 
 
 def antichain_score(ar: ARQuiver, m: ModuleClass, i: int, v: Antichain) -> int:
     """Net multiplicity below v: sum of mu_B(M) - mu_{tau B}(M) over B <= v."""
-    ctx = _context(ar, i)
-    return ctx.scores(m)[ctx.index_of(v)]
+    p = _poset(ar, i)
+    contrib = _contributions(p, m)
+    return sum(contrib[b] for b in p.downsets[p.index_of(v)])
 
 
-def epsilon_i(ar: ARQuiver, m: ModuleClass, i: int) -> int:
-    """The string statistic: the maximal antichain score, never negative."""
-    ctx = _context(ar, i)
-    best = max(ctx.scores(m))
-    if best < 0:
-        raise InvariantViolation("maximal antichain score is negative")
-    return best
-
-
-def exchange_set(p: HomPoset, v: Antichain) -> tuple[Indec, ...]:
-    """Minimal elements among those not below v; their tau translates get swapped."""
-    ctx = _context(p.ar, p.vertex)
-    minimal = ctx.exchange[ctx.index_of(v)]
-    return tuple(p.ar.indecs[p.element_ids[b]] for b in minimal)
-
-
-def _best_antichains(ctx: _Context, m: ModuleClass) -> tuple[int, list[int]]:
-    scores = ctx.scores(m)
+def _stats(p: HomPoset, m: ModuleClass) -> tuple[int, list[int]]:
+    """One score pass: the string statistic and the indices of its maximizers."""
+    contrib = _contributions(p, m)
+    scores = [sum(contrib[b] for b in down) for down in p.downsets]
     best = max(scores)
     if best < 0:
         raise InvariantViolation("maximal antichain score is negative")
     return best, [k for k, s in enumerate(scores) if s == best]
 
 
-def _unique_extremum(ctx: _Context, candidates: list[int], maximal: bool) -> int:
+def epsilon_i(ar: ARQuiver, m: ModuleClass, i: int) -> int:
+    """The string statistic: the maximal antichain score, never negative."""
+    return _stats(_poset(ar, i), m)[0]
+
+
+def exchange_set(p: HomPoset, v: Antichain) -> tuple[Indec, ...]:
+    """Minimal elements among those not below v; their tau translates get swapped."""
+    return tuple(p.ar.indecs[p.element_ids[b]] for b in p.exchange[p.index_of(v)])
+
+
+def _unique_extremum(p: HomPoset, candidates: list[int], maximal: bool) -> int:
+    down = p.downsets
     if maximal:
         extreme = [
-            v
-            for v in candidates
-            if not any(w != v and ctx.below[v][w] for w in candidates)
+            v for v in candidates if not any(down[v] < down[w] for w in candidates)
         ]
     else:
         extreme = [
-            v
-            for v in candidates
-            if not any(w != v and ctx.below[w][v] for w in candidates)
+            v for v in candidates if not any(down[w] < down[v] for w in candidates)
         ]
     if len(extreme) != 1:
         raise InvariantViolation(
@@ -271,36 +250,36 @@ def _unique_extremum(ctx: _Context, candidates: list[int], maximal: bool) -> int
 
 def f_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass:
     """Lowering operator: swap tau of the exchange set against the maximal maximizer."""
-    ctx = _context(ar, i)
-    _, candidates = _best_antichains(ctx, m)
-    v0 = _unique_extremum(ctx, candidates, maximal=True)
+    p = _poset(ar, i)
+    _, candidates = _stats(p, m)
+    v0 = _unique_extremum(p, candidates, maximal=True)
     mults = list(m.mults)
-    for b in ctx.exchange[v0]:
-        t = ctx.tau_ids[b]
+    for b in p.exchange[v0]:
+        t = p.tau_ids[b]
         if t is None:
             raise InvariantViolation("exchange set contains the projective cover")
         mults[t] -= 1
         if mults[t] < 0:
             raise InvariantViolation("swapped-out summand missing from the class")
-    for xid in ctx.antichains[v0].members:
+    for xid in p.antichains[v0].members:
         mults[xid] += 1
     return ModuleClass(tuple(mults))
 
 
 def e_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass | None:
     """Raising operator: absent when the string statistic is zero."""
-    ctx = _context(ar, i)
-    best, candidates = _best_antichains(ctx, m)
+    p = _poset(ar, i)
+    best, candidates = _stats(p, m)
     if best == 0:
         return None
-    v0 = _unique_extremum(ctx, candidates, maximal=False)
+    v0 = _unique_extremum(p, candidates, maximal=False)
     mults = list(m.mults)
-    for xid in ctx.antichains[v0].members:
+    for xid in p.antichains[v0].members:
         mults[xid] -= 1
         if mults[xid] < 0:
             raise InvariantViolation("minimal maximizer is not a summand of the class")
-    for b in ctx.exchange[v0]:
-        t = ctx.tau_ids[b]
+    for b in p.exchange[v0]:
+        t = p.tau_ids[b]
         if t is None:
             raise InvariantViolation("exchange set contains the projective cover")
         mults[t] += 1

@@ -243,5 +243,4 @@ def coroot_pairing(q: Quiver | Diagram, i: int, w: Weight) -> int:
     if not 1 <= i <= diag.rank:
         raise DomainError(f"vertex {i} out of range for {diag}")
     _check_rank(q, w)
-    cartan = cartan_matrix(diag)
-    return sum(cartan[i - 1][j] * w[j] for j in range(diag.rank))
+    return 2 * w[i - 1] - sum(w[j - 1] for j in diag.neighbors(i))

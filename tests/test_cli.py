@@ -86,6 +86,19 @@ def test_apply_reads_module_file(tmp_path, capsys):
     assert doc["module"] == {"0,1,0": 1, "0,1,1": 2, "1,0,0": 1, "1,1,0": 1, "1,1,1": 1}
 
 
+@pytest.mark.parametrize("command", ["epsilon", "apply"])
+@pytest.mark.parametrize(
+    "module", ['{"1,1,1":1.5}', '{"0,1,0":true}', '{"1,1,1":"2"}'],
+    ids=["float", "bool", "string"],
+)
+def test_module_multiplicity_must_be_json_integer(capsys, command, module):
+    extra = ["-i", "2"] if command == "epsilon" else ["--ops", "f2"]
+    code, out, err = run_cli(
+        capsys, command, "--quiver", "A3: 2->1, 2->3", "--module", module, *extra
+    )
+    assert code == 2 and out == "" and "parse error" in err
+
+
 def test_apply_bad_ops_word(capsys):
     code, _, err = run_cli(
         capsys, "apply", "--quiver", "A1", "--module", "{}", "--ops", "g1"

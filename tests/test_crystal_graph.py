@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import A2, A3_LINEAR, A3_MIDDLE, ar_of
@@ -11,7 +13,7 @@ from quivercrystal import (
     kostant_count,
     parse_quiver,
 )
-from quivercrystal.errors import ResourceLimitError
+from quivercrystal.errors import QuiverParseError, ResourceLimitError
 
 
 def test_depth_zero():
@@ -138,6 +140,19 @@ def test_json_round_trip_byte_identical():
     assert again.to_json() == text
     assert again.vertices.keys() == g.vertices.keys()
     assert generate(ar_of(A3_MIDDLE), 3).to_json() == text
+
+
+def test_graph_from_json_rejects_malformed_documents():
+    doc = json.loads(generate(ar_of(A3_MIDDLE), 2).to_json())
+    no_depth = {k: v for k, v in doc.items() if k != "depth"}
+    too_deep = dict(doc, vertices=doc["vertices"] + [
+        dict(doc["vertices"][0], key='{"1,1,1":5}', level=3)
+    ])
+    dangling = dict(doc, edges=doc["edges"] + [[doc["edges"][0][0], 2, '{"1,1,1":5}']])
+    texts = ["{not json", json.dumps(no_depth), json.dumps(too_deep), json.dumps(dangling)]
+    for text in texts:
+        with pytest.raises(QuiverParseError):
+            graph_from_json(text)
 
 
 def test_vertex_budget():

@@ -1,3 +1,7 @@
+import random
+import sys
+import threading
+
 import pytest
 
 from conftest import A2, A3_LINEAR, A3_MIDDLE, ar_of
@@ -21,7 +25,7 @@ from quivercrystal import (
     zero_module,
 )
 from quivercrystal.ar_quiver import build_ar
-from quivercrystal.dynkin import all_orientations, diagram
+from quivercrystal.dynkin import all_orientations, diagram, parse_quiver
 
 D4_SPECIAL = "D4: 1->2, 3->2, 4->2"
 
@@ -280,3 +284,44 @@ def test_epsilon_of_multiple_simples():
         m = module_from_dim_dict(ar, {(0, 1): k})
         assert epsilon_i(ar, m, 2) == k
         assert epsilon_i(ar, m, 1) == 0
+
+
+def test_shared_ar_quiver_gives_identical_results_across_threads():
+    ar = build_ar(parse_quiver("E6: 1->2, 2->3, 3->4, 3->6, 4->5"))  # no poset built yet
+    rng = random.Random(11)
+    classes = [ModuleClass(tuple(rng.randrange(3) for _ in range(len(ar)))) for _ in range(6)]
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    results: list = [None] * n_threads
+
+    def work(k: int) -> None:
+        barrier.wait()
+        try:
+            out = []
+            for i in range(1, ar.rank + 1):
+                p = hom_poset(ar, i)
+                for m in classes:
+                    out.append((p, epsilon_i(ar, m, i), f_tilde(ar, m, i), e_tilde(ar, m, i)))
+            results[k] = out
+        except Exception as exc:  # reported by the assertions below
+            results[k] = exc
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(isinstance(r, list) for r in results), results
+    first = results[0]
+    for r in results[1:]:
+        assert len(r) == len(first)
+        for (p, *stats), (q, *expected) in zip(r, first):
+            assert p is q and stats == expected
+    for i in range(1, ar.rank + 1):
+        assert hom_poset(ar, i) is first[(i - 1) * len(classes)][0]
