@@ -13,6 +13,7 @@ import heapq
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import mul
 
 from .dynkin import DimVector, Diagram, Quiver, all_orientations, positive_roots, ringel_form
 from .errors import DomainError, InvariantViolation, QuiverParseError
@@ -93,6 +94,10 @@ class ARQuiver:
         self.tau_ids = tuple(tau.get(x.id) for x in indecs)
         self._tau_inv = {x: z for z, x in tau_pairs}
         self.by_dim = {x.dim: x for x in indecs}
+        # dim_columns[j][x] is the j-th coordinate of dim X.
+        self.dim_columns = tuple(zip(*(x.dim for x in indecs)))
+        # key_names[x] is dim X as the module wire format writes it ("1,1,0").
+        self.key_names = tuple(",".join(map(str, x.dim)) for x in indecs)
         self._proj = {x.projective_vertex: x for x in indecs if x.is_projective}
         self._inj = {x.injective_vertex: x for x in indecs if x.is_injective}
         self._hom = self._hom_table()
@@ -331,7 +336,7 @@ class ModuleClass:
     mults: tuple[int, ...]
 
     def __post_init__(self):
-        if any(k < 0 for k in self.mults):
+        if min(self.mults, default=0) < 0:
             raise DomainError(f"negative multiplicity in {self.mults}")
 
     def mult(self, x: Indec | int) -> int:
@@ -341,13 +346,8 @@ class ModuleClass:
         return not any(self.mults)
 
     def dimension_vector(self, ar: ARQuiver) -> DimVector:
-        n = ar.rank
-        out = [0] * n
-        for x, k in zip(ar.indecs, self.mults):
-            if k:
-                for j in range(n):
-                    out[j] += k * x.dim[j]
-        return tuple(out)
+        mults = self.mults
+        return tuple([sum(map(mul, mults, col)) for col in ar.dim_columns])
 
     def total_dim(self, ar: ARQuiver) -> int:
         return sum(self.dimension_vector(ar))
@@ -391,9 +391,7 @@ def module_from_json(ar: ARQuiver, text: str) -> ModuleClass:
 
 
 def module_to_json(ar: ARQuiver, m: ModuleClass) -> str:
-    obj = {
-        ",".join(str(d) for d in x.dim): k for x, k in zip(ar.indecs, m.mults) if k
-    }
+    obj = {name: k for name, k in zip(ar.key_names, m.mults) if k}
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

@@ -8,6 +8,7 @@ identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import re
@@ -221,7 +222,9 @@ def _cmd_check(args) -> int:
     ar = build_ar(parse_quiver(args.quiver))
     g = crystal_graph.generate(ar, args.depth, args.max_vertices)
     report = crystal_graph.check_axioms(g)
-    print(f"axioms: {report}")
+    doc: dict = {"axioms": dataclasses.asdict(report)}
+    if args.format == "text":
+        print(f"axioms: {report}")
     failures = 0 if report.ok else 1
     if args.samples:
         rng = random.Random(args.seed)
@@ -237,8 +240,12 @@ def _cmd_check(args) -> int:
                 back = crystal_ops.e_tilde(ar, x, i)
                 if back is None or back.mults != m.mults:
                     bad += 1
-        print(f"samples: {args.samples} random classes, {bad} violations (seed {args.seed})")
+        doc["samples"] = {"count": args.samples, "violations": bad, "seed": args.seed}
+        if args.format == "text":
+            print(f"samples: {args.samples} random classes, {bad} violations (seed {args.seed})")
         failures += bad
+    if args.format == "json":
+        print(_dump(doc))
     return 0 if failures == 0 else 1
 
 
@@ -310,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0, help="extra randomized checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=pm_graph.DEFAULT_SEARCH_LIMIT)
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -13,6 +13,7 @@ other quiver up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 from .ar_quiver import ARQuiver, Indec, ModuleClass
 from .dynkin import Weight, coroot_pairing
@@ -213,8 +214,8 @@ def antichain_score(ar: ARQuiver, m: ModuleClass, i: int, v: Antichain) -> int:
 
 def _stats(p: HomPoset, m: ModuleClass) -> tuple[int, list[int]]:
     """One score pass: the string statistic and the indices of its maximizers."""
-    contrib = _contributions(p, m)
-    scores = [sum(contrib[b] for b in down) for down in p.downsets]
+    at = _contributions(p, m).__getitem__
+    scores = [sum(map(at, down)) for down in p.downsets]
     best = max(scores)
     if best < 0:
         raise InvariantViolation("maximal antichain score is negative")
@@ -288,7 +289,7 @@ def e_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass | None:
 
 def weight_of(ar: ARQuiver, m: ModuleClass) -> Weight:
     """Weight in simple-root coordinates: the negated dimension vector."""
-    return tuple(-d for d in m.dimension_vector(ar))
+    return tuple(map(neg, m.dimension_vector(ar)))
 
 
 def phi_i(ar: ARQuiver, m: ModuleClass, i: int) -> int:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import DomainError, QuiverParseError
+from .errors import DomainError, InvariantViolation, QuiverParseError
 
 DimVector = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -32,12 +32,23 @@ class Diagram:
     letter: str
     rank: int
     edges: tuple[tuple[int, int], ...]
+    # Sorted neighbours of each vertex, derived from the edges once.
+    _adjacency: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, hash=False
+    )
+
+    def __post_init__(self):
+        adjacency = {
+            v: tuple(sorted(b if a == v else a for a, b in self.edges if v in (a, b)))
+            for v in range(1, self.rank + 1)
+        }
+        object.__setattr__(self, "_adjacency", adjacency)
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(b if a == v else a for a, b in self.edges if v in (a, b)))
+        return self._adjacency.get(v, ())
 
 
 def diagram(letter: str, rank: int) -> Diagram:
@@ -233,7 +244,7 @@ def positive_roots(q: Quiver | Diagram) -> tuple[DimVector, ...]:
         frontier = nxt
     expected = _ROOT_COUNT[diag.letter](n)
     if len(roots) != expected:
-        raise AssertionError(f"{diag}: got {len(roots)} roots, expected {expected}")
+        raise InvariantViolation(f"{diag}: got {len(roots)} roots, expected {expected}")
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quivercrystal import crystal_ops
 from quivercrystal.cli import main
 
 
@@ -214,6 +215,36 @@ def test_check_passes(capsys):
     )
     assert code == 0
     assert "ok" in out and "0 violations" in out
+
+
+def test_check_json_reports_both_outcomes(capsys, monkeypatch):
+    args = ["check", "--quiver", "A3: 2->1,2->3", "--depth", "3", "--samples", "5",
+            "--seed", "42"]
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "axioms": {"ok": True, "checked_edges": 36, "first_violation": None},
+        "samples": {"count": 5, "violations": 0, "seed": 42},
+    }
+    # An off-by-one epsilon: phi_i no longer matches the stored phi, and the
+    # samples see it disagree with the geometric route.
+    epsilon_i = crystal_ops.epsilon_i
+    monkeypatch.setattr(crystal_ops, "epsilon_i", lambda ar, m, i: epsilon_i(ar, m, i) + 1)
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["axioms"] == {
+        "ok": False,
+        "checked_edges": 0,
+        "first_violation": "phi_1 identity fails at (0, 0, 0, 0, 0, 0)",
+    }
+    assert doc["samples"] == {"count": 5, "violations": 15, "seed": 42}
+    code, text, _ = run_cli(capsys, *args)
+    assert code == 1
+    assert text == (
+        "axioms: FAIL: phi_1 identity fails at (0, 0, 0, 0, 0, 0)\n"
+        "samples: 5 random classes, 15 violations (seed 42)\n"
+    )
 
 
 def test_check_deterministic_given_seed(capsys):

@@ -4,10 +4,12 @@ import pytest
 
 from conftest import A2, A3_LINEAR, A3_MIDDLE, ar_of
 from quivercrystal import (
+    CrystalGraph,
     DomainError,
     ModuleClass,
     check_axioms,
     compare_orientations,
+    f_tilde,
     generate,
     graph_from_json,
     kostant_count,
@@ -100,6 +102,18 @@ def test_check_axioms_detects_bad_vertex_data():
     assert "epsilon" in report.first_violation
 
 
+def test_check_axioms_rejects_edge_to_missing_vertex():
+    ar = ar_of(A3_MIDDLE)
+    g = generate(ar, 2)
+    src = g.levels[2][0]
+    tgt = f_tilde(ar, ModuleClass(src), 1).mults
+    assert tgt not in g.vertices
+    hand_built = CrystalGraph(ar, g.depth, g.vertices, g.edges + [(src, 1, tgt)], g.levels)
+    report = check_axioms(hand_built)
+    assert not report.ok
+    assert "not a vertex" in report.first_violation
+
+
 def test_compare_same_quiver():
     q = parse_quiver(A3_MIDDLE)
     assert compare_orientations(q, q, 4)
@@ -149,7 +163,16 @@ def test_graph_from_json_rejects_malformed_documents():
         dict(doc["vertices"][0], key='{"1,1,1":5}', level=3)
     ])
     dangling = dict(doc, edges=doc["edges"] + [[doc["edges"][0][0], 2, '{"1,1,1":5}']])
-    texts = ["{not json", json.dumps(no_depth), json.dumps(too_deep), json.dumps(dangling)]
+    float_key = dict(doc, edges=doc["edges"] + [[doc["edges"][0][0], 1, '{"1,0,0":1.0}']])
+    unhashable_key = dict(doc, edges=doc["edges"] + [[doc["edges"][0][0], 1, ["1,0,0"]]])
+    texts = [
+        "{not json",
+        json.dumps(no_depth),
+        json.dumps(too_deep),
+        json.dumps(dangling),
+        json.dumps(float_key),
+        json.dumps(unhashable_key),
+    ]
     for text in texts:
         with pytest.raises(QuiverParseError):
             graph_from_json(text)

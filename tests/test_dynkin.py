@@ -5,6 +5,7 @@ import pytest
 
 from quivercrystal import (
     DomainError,
+    InvariantViolation,
     QuiverParseError,
     all_orientations,
     cartan_matrix,
@@ -15,6 +16,7 @@ from quivercrystal import (
     ringel_form,
     symmetrized_form,
 )
+from quivercrystal import dynkin
 
 
 def test_parse_echoes_input():
@@ -103,6 +105,12 @@ def test_positive_root_counts_and_examples():
     assert len(positive_roots(diagram("E", 6))) == 36
     assert len(positive_roots(diagram("E", 7))) == 63
     assert len(positive_roots(diagram("E", 8))) == 120
+
+
+def test_positive_roots_wrong_count_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setitem(dynkin._ROOT_COUNT, "A", lambda n: n)
+    with pytest.raises(InvariantViolation):
+        positive_roots(diagram("A", 3))
 
 
 def test_positive_roots_connected_support():
