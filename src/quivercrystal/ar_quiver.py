@@ -342,9 +342,6 @@ class ModuleClass:
     def mult(self, x: Indec | int) -> int:
         return self.mults[x.id if isinstance(x, Indec) else x]
 
-    def is_zero(self) -> bool:
-        return not any(self.mults)
-
     def dimension_vector(self, ar: ARQuiver) -> DimVector:
         mults = self.mults
         return tuple([sum(map(mul, mults, col)) for col in ar.dim_columns])

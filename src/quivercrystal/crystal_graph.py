@@ -248,7 +248,10 @@ def compare_orientations(q1: Quiver, q2: Quiver, depth: int) -> bool:
 def graph_from_json(text: str) -> CrystalGraph:
     """Rebuild a generated graph from its JSON export.
 
-    Malformed or inconsistent documents raise QuiverParseError.
+    Malformed or inconsistent documents raise QuiverParseError: depth,
+    levels and edge labels must be JSON integers in range (depth >= 0),
+    every vertex lists `rank` JSON integers for epsilon, phi and weight,
+    and no vertex key appears twice.
     """
     from .ar_quiver import module_from_json
 
@@ -261,28 +264,41 @@ def graph_from_json(text: str) -> CrystalGraph:
             key = parsed[name] = module_from_json(ar, name).mults
         return key
 
+    def ints(v: dict, field: str) -> tuple[int, ...]:
+        xs = v[field]
+        if type(xs) is not list or len(xs) != n or {*map(type, xs)} != {int}:
+            raise QuiverParseError(f"vertex {field} must be a list of {n} JSON integers")
+        return tuple(xs)
+
     try:
         doc = json.loads(text)
         ar = build_ar(parse_quiver(doc["quiver"]))
-        depth = int(doc["depth"])
+        n = ar.rank
+        depth = doc["depth"]
+        if type(depth) is not int or depth < 0:
+            raise QuiverParseError(f"depth {depth!r} is not a nonnegative JSON integer")
         vertices: dict[Key, VertexData] = {}
         levels: list[list[Key]] = [[] for _ in range(depth + 1)]
         for v in doc["vertices"]:
             key = key_of(v["key"])
-            level = int(v["level"])
-            if not 0 <= level <= depth:
-                raise QuiverParseError(f"vertex level {level} outside 0..{depth}")
+            if key in vertices:
+                raise QuiverParseError(f"vertex {v['key']!r} listed twice")
+            level = v["level"]
+            if type(level) is not int or not 0 <= level <= depth:
+                raise QuiverParseError(f"vertex level {level!r} outside 0..{depth}")
             vertices[key] = VertexData(
                 level,
-                tuple(v["epsilon"]),
-                tuple(v["phi"]),
-                tuple(v["weight"]),
+                ints(v, "epsilon"),
+                ints(v, "phi"),
+                ints(v, "weight"),
             )
             levels[level].append(key)
-        edges = [(key_of(s), int(i), key_of(t)) for s, i, t in doc["edges"]]
+        edges = [(key_of(s), i, key_of(t)) for s, i, t in doc["edges"]]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise QuiverParseError(f"bad graph JSON: {exc!r}") from exc
-    for s, _, t in edges:
+    for s, i, t in edges:
+        if type(i) is not int or not 1 <= i <= n:
+            raise QuiverParseError(f"edge label {i!r} outside 1..{n}")
         if s not in vertices or t not in vertices:
             raise QuiverParseError("edge endpoint is not a vertex of the graph")
     levels = [sorted(level) for level in levels]

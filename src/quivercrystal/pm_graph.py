@@ -40,9 +40,8 @@ DEFAULT_SEARCH_LIMIT = 10_000_000
 class MultiplicityGraph:
     """The expanded graph: chain nodes per label, a sink, and the two color sets.
 
-    Nodes are integers; `node_name(u)` gives (label, position) with the
-    sink reported as ("inf", 0).  Labels must be listed in a linear
-    extension of the cover relation.
+    Nodes are integers.  Labels must be listed in a linear extension of
+    the cover relation.  Nothing is written to the graph after `__init__`.
     """
 
     def __init__(
@@ -103,12 +102,6 @@ class MultiplicityGraph:
                 s |= up[v]
             up[u] = s
         self.reach = tuple(frozenset(s) for s in up)
-        down: list[set[int]] = [set() for _ in range(n)]
-        for u in range(n):
-            down[u].add(u)
-            for v in self.succ[u]:
-                down[v] |= down[u]
-        self.below = tuple(frozenset(s) for s in down)
 
         if any(self.sink not in r for r in self.reach):
             raise InvariantViolation("sink not reachable from every node")
@@ -116,22 +109,13 @@ class MultiplicityGraph:
         self._white_targets = {
             r: tuple(sorted(self.reach[r] & self.white)) for r in self.red_order
         }
-        self._morphisms: tuple[AMorphism, ...] | None = None
-        self._push_cache: dict[tuple[frozenset, frozenset], bool] = {}
-        self._minimal_images: frozenset[frozenset] | None = None
 
     @property
     def nodes(self) -> tuple[int, ...]:
         return tuple(range(len(self._names)))
 
-    def node_name(self, u: int) -> tuple:
-        return self._names[u]
-
     def node_label(self, u: int):
         return self._names[u][0]
-
-    def leq_nodes(self, u: int, v: int) -> bool:
-        return v in self.reach[u]
 
     def to_dot(self) -> str:
         lines = ["digraph pm {", "  rankdir=LR;"]
@@ -213,12 +197,6 @@ def enumerate_morphisms(
     return rec(0, [], set())
 
 
-def _all_morphisms(g: MultiplicityGraph, limit: int) -> tuple[AMorphism, ...]:
-    if g._morphisms is None:
-        g._morphisms = tuple(enumerate_morphisms(g, limit))
-    return g._morphisms
-
-
 def eps_of(g: MultiplicityGraph, phi: AMorphism) -> int:
     """Number of white nodes missed by the image of the red set."""
     return len(g.white - phi.image(g))
@@ -232,10 +210,8 @@ def F_of_subset(g: MultiplicityGraph, nodes) -> int:
 
 def down_closure(g: MultiplicityGraph, nodes) -> frozenset[int]:
     """Everything at or below some node of the subset."""
-    out: set[int] = set()
-    for v in nodes:
-        out |= g.below[v]
-    return frozenset(out)
+    s = frozenset(nodes)
+    return frozenset(u for u, up in enumerate(g.reach) if not up.isdisjoint(s))
 
 
 def closure_H(g: MultiplicityGraph, phi: AMorphism, nodes) -> frozenset[int]:
@@ -252,45 +228,38 @@ def closure_H(g: MultiplicityGraph, phi: AMorphism, nodes) -> frozenset[int]:
 
 def _image_pushes(g: MultiplicityGraph, src: frozenset[int], dst: frozenset[int]) -> bool:
     """Whether some endomorphism of the whites carries src onto dst as sets."""
-    key = (src, dst)
-    cached = g._push_cache.get(key)
-    if cached is not None:
-        return cached
     src_w = sorted(src - {g.sink})
     dst_w = sorted(dst - {g.sink})
     sink_in_src = g.sink in src
     sink_in_dst = g.sink in dst
     spare = len(src_w) - len(dst_w)
     if spare < 0:
-        ok = False
-    elif sink_in_src and not sink_in_dst:
-        ok = False
-    elif spare > 0 and not sink_in_dst:
-        ok = False
-    elif sink_in_dst and not sink_in_src and spare == 0:
-        ok = False
-    else:
-        # Injectively match every dst white to a src white below it; the
-        # spare src whites go to the sink.
-        targets = [[k for k, w in enumerate(dst_w) if g.leq_nodes(s, w)] for s in src_w]
-        taken = [False] * len(dst_w)
+        return False
+    if sink_in_src and not sink_in_dst:
+        return False
+    if spare > 0 and not sink_in_dst:
+        return False
+    if sink_in_dst and not sink_in_src and spare == 0:
+        return False
+    # Injectively match every dst white to a src white below it; the
+    # spare src whites go to the sink.
+    targets = [[k for k, w in enumerate(dst_w) if w in g.reach[s]] for s in src_w]
+    taken = [False] * len(dst_w)
 
-        def match(idx: int, matched: int) -> bool:
-            if matched == len(dst_w):
-                return True
-            if idx == len(src_w) or len(src_w) - idx < len(dst_w) - matched:
-                return False
-            for k in targets[idx]:
-                if not taken[k]:
-                    taken[k] = True
-                    if match(idx + 1, matched + 1):
-                        return True
-                    taken[k] = False
-            return match(idx + 1, matched)
+    def match(idx: int, matched: int) -> bool:
+        if matched == len(dst_w):
+            return True
+        if idx == len(src_w) or len(src_w) - idx < len(dst_w) - matched:
+            return False
+        for k in targets[idx]:
+            if not taken[k]:
+                taken[k] = True
+                if match(idx + 1, matched + 1):
+                    return True
+                taken[k] = False
+        return match(idx + 1, matched)
 
-        ok = match(0, 0)
-    g._push_cache[key] = ok
-    return ok
+    return match(0, 0)
 
 
 def is_preceq(g: MultiplicityGraph, phi: AMorphism, psi: AMorphism) -> bool:
@@ -298,43 +267,35 @@ def is_preceq(g: MultiplicityGraph, phi: AMorphism, psi: AMorphism) -> bool:
     return _image_pushes(g, phi.image(g), psi.image(g))
 
 
-def _minimal_image_set(g: MultiplicityGraph, limit: int) -> frozenset[frozenset]:
-    """Images of minimal morphisms; the preorder only sees images, so this
-    is the exhaustive minimality test, done once per distinct image."""
-    if g._minimal_images is None:
-        images = []
-        seen = set()
-        for phi in _all_morphisms(g, limit):
-            img = phi.image(g)
-            if img not in seen:
-                seen.add(img)
-                images.append(img)
-        minimal = frozenset(
-            img
-            for img in images
-            if not any(
-                other != img
-                and _image_pushes(g, other, img)
-                and not _image_pushes(g, img, other)
-                for other in images
-            )
+def preceq_minimal_morphisms(
+    g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT
+) -> tuple[AMorphism, ...]:
+    """Morphisms preceded only by morphisms they also precede, in DFS order.
+
+    The preorder only sees images, so the exhaustive minimality test runs
+    once per distinct image.  Each call enumerates the morphisms afresh.
+    """
+    morphs = tuple(enumerate_morphisms(g, limit))
+    images = list(dict.fromkeys(phi.image(g) for phi in morphs))
+    minimal = {
+        img
+        for img in images
+        if not any(
+            other != img
+            and _image_pushes(g, other, img)
+            and not _image_pushes(g, img, other)
+            for other in images
         )
-        g._minimal_images = minimal
-    return g._minimal_images
+    }
+    return tuple(phi for phi in morphs if phi.image(g) in minimal)
 
 
 def is_preceq_minimal(
     g: MultiplicityGraph, phi: AMorphism, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> bool:
     """Whether every morphism preceding phi is also preceded by it."""
-    return phi.image(g) in _minimal_image_set(g, limit)
-
-
-def preceq_minimal_morphisms(
-    g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT
-) -> tuple[AMorphism, ...]:
-    minimal = _minimal_image_set(g, limit)
-    return tuple(phi for phi in _all_morphisms(g, limit) if phi.image(g) in minimal)
+    img = phi.image(g)
+    return any(psi.image(g) == img for psi in preceq_minimal_morphisms(g, limit))
 
 
 def min_epsilon(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
@@ -372,12 +333,10 @@ def closure_antichain(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -
     used, and it reproduces the minimal best-scoring antichain of the
     raising operator.
     """
-    minimal = _minimal_image_set(g, limit)
-    phi = next(
-        (m for m in _all_morphisms(g, limit) if m.image(g) in minimal), None
-    )
-    if phi is None:
+    minimal = preceq_minimal_morphisms(g, limit)
+    if not minimal:
         raise InvariantViolation("no minimal morphism found")
+    phi = minimal[0]
     if eps_of(g, phi) == 0:
         raise DomainError("closure antichain undefined when epsilon is zero")
     closed = closure_H(g, phi, g.white - phi.image(g))

@@ -165,6 +165,25 @@ def test_graph_from_json_rejects_malformed_documents():
     dangling = dict(doc, edges=doc["edges"] + [[doc["edges"][0][0], 2, '{"1,1,1":5}']])
     float_key = dict(doc, edges=doc["edges"] + [[doc["edges"][0][0], 1, '{"1,0,0":1.0}']])
     unhashable_key = dict(doc, edges=doc["edges"] + [[doc["edges"][0][0], 1, ["1,0,0"]]])
+
+    def with_vertex(**fields):
+        return dict(doc, vertices=[dict(doc["vertices"][0], **fields)] + doc["vertices"][1:])
+
+    def with_label(label):
+        s, _, t = doc["edges"][0]
+        return dict(doc, edges=[[s, label, t]] + doc["edges"][1:])
+
+    bad_lists = [
+        with_vertex(**{name: value})
+        for name in ("epsilon", "phi", "weight")
+        for value in ([0], [0, 0, 0, 0], [0, 0.5, 0], [0, True, 0], [0, "1", 0], "000")
+    ]
+    bad_ints = [dict(doc, depth=v) for v in ("2", 2.9, False)]
+    bad_ints += [with_vertex(level=v) for v in ("0", 0.0, False)]
+    bad_ints += [with_label(v) for v in ("1", 1.7, True)]
+    bad_labels = [with_label(0), with_label(4), with_label(-1)]
+    duplicate = dict(doc, vertices=doc["vertices"] + [doc["vertices"][0]])
+    negative_depth = dict(doc, depth=-1, vertices=[], edges=[])
     texts = [
         "{not json",
         json.dumps(no_depth),
@@ -172,6 +191,9 @@ def test_graph_from_json_rejects_malformed_documents():
         json.dumps(dangling),
         json.dumps(float_key),
         json.dumps(unhashable_key),
+        *map(json.dumps, bad_lists + bad_ints + bad_labels),
+        json.dumps(duplicate),
+        json.dumps(negative_depth),
     ]
     for text in texts:
         with pytest.raises(QuiverParseError):

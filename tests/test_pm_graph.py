@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -333,6 +334,19 @@ def test_resource_guard():
         list(enumerate_morphisms(g, limit=2))
     with pytest.raises(ResourceLimitError):
         min_epsilon(g, limit=1)
+
+
+def test_graph_is_not_written_after_construction():
+    ar, m, g = worked_graph()
+    before = copy.deepcopy(vars(g))
+    morphs = list(enumerate_morphisms(g))
+    assert min_epsilon(g) == 2
+    assert all(is_preceq(g, phi, phi) for phi in morphs)
+    minimal = preceq_minimal_morphisms(g)
+    assert is_preceq_minimal(g, minimal[0])
+    closure_H(g, minimal[0], g.white - minimal[0].image(g))
+    closure_antichain(g)
+    assert vars(g) == before
 
 
 def test_labels_must_extend_covers():
