@@ -4,7 +4,8 @@ The AR quiver is knitted forward from the projectives: whenever every
 irreducible map out of a non-injective X is known, the mesh ending at
 the translate of X determines dim tau^{-1}X additively.  Hom and Ext
 dimensions are then computed by walking tau orbits back to projectives,
-with Ext obtained from Hom through Auslander-Reiten duality.
+with Ext obtained from Hom through Auslander-Reiten duality.  For a
+special orientation the poset of every vertex (`HomPoset`) is built too.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .errors import DomainError, InvariantViolation, QuiverParseError
 __all__ = [
     "Indec",
     "ARQuiver",
+    "Antichain",
+    "HomPoset",
     "ModuleClass",
     "build_ar",
     "thick_vertices",
@@ -102,9 +105,12 @@ class ARQuiver:
         self._inj = {x.injective_vertex: x for x in indecs if x.is_injective}
         self._hom = self._hom_table()
         simples = [self.simple(i).id for i in range(1, self.rank + 1)]
-        self._special = all(row[s] <= 1 for row in self._hom for s in simples)
-        # Per-vertex posets, filled on first use by crystal_ops.hom_poset.
-        self._posets: dict[int, object] = {}
+        special = all(row[s] <= 1 for row in self._hom for s in simples)
+        # The table of every vertex when the crystal recipes apply, read
+        # through crystal_ops.hom_poset.
+        self.posets = (
+            {i: HomPoset(self, i) for i in range(1, self.rank + 1)} if special else {}
+        )
 
     def _hom_table(self) -> tuple[tuple[int, ...], ...]:
         """dim Hom(X, Y) for every pair, by shifting both back along tau orbits.
@@ -177,7 +183,7 @@ class ARQuiver:
 
     def is_special(self) -> bool:
         """Whether every indecomposable maps to each simple with multiplicity <= 1."""
-        return self._special
+        return bool(self.posets)
 
     def to_json(self) -> str:
         objs = []
@@ -214,6 +220,123 @@ class ARQuiver:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
+
+@dataclass(frozen=True)
+class Antichain:
+    """A nonempty set of pairwise incomparable poset elements (Indec ids)."""
+
+    members: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.members:
+            raise DomainError("antichains are nonempty")
+
+
+class HomPoset:
+    """Poset of indecomposables mapping onto S(i), ordered by Hom != 0.
+
+    Besides the order it holds every table the crystal operators read:
+    the antichains, their down-sets (as position sets), their exchange
+    sets and the tau translates of the elements.
+    """
+
+    def __init__(self, ar: ARQuiver, i: int):
+        self.ar = ar
+        self.vertex = i
+        s = ar.simple(i)
+        self.element_ids = tuple(
+            x.id for x in ar.indecs if ar.hom_dim(x, s) >= 1
+        )
+        self._pos = {xid: k for k, xid in enumerate(self.element_ids)}
+        n = len(self.element_ids)
+        leq = self.leq = tuple(
+            tuple(
+                ar.hom_dim(a, b) >= 1
+                for b in self.element_ids
+            )
+            for a in self.element_ids
+        )
+        self._check_partial_order()
+        self.covers = tuple(
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if a != b
+            and leq[a][b]
+            and not any(
+                leq[a][c] and leq[c][b] for c in range(n) if c not in (a, b)
+            )
+        )
+        chains: list[tuple[int, ...]] = []
+
+        def extend(start: int, chosen: list[int]) -> None:
+            for k in range(start, n):
+                if all(not (leq[c][k] or leq[k][c]) for c in chosen):
+                    chosen.append(k)
+                    chains.append(tuple(chosen))
+                    extend(k + 1, chosen)
+                    chosen.pop()
+
+        extend(0, [])
+        self.antichains = tuple(
+            Antichain(tuple(self.element_ids[k] for k in ch)) for ch in chains
+        )
+        self._index = {a.members: idx for idx, a in enumerate(self.antichains)}
+        # v <= w among antichains exactly when downsets[v] <= downsets[w].
+        self.downsets = tuple(
+            frozenset(b for b in range(n) if any(leq[b][c] for c in ch))
+            for ch in chains
+        )
+        self.exchange = tuple(
+            tuple(
+                b
+                for b in range(n)
+                if b not in down
+                and not any(leq[c][b] for c in range(n) if c != b and c not in down)
+            )
+            for down in self.downsets
+        )
+        # tau ids aligned with positions; None marks the projective.
+        self.tau_ids = tuple(ar.tau_ids[xid] for xid in self.element_ids)
+
+    def _check_partial_order(self) -> None:
+        n = len(self.element_ids)
+        for a in range(n):
+            if not self.leq[a][a]:
+                raise InvariantViolation("hom order not reflexive")
+            for b in range(n):
+                if a != b and self.leq[a][b] and self.leq[b][a]:
+                    raise InvariantViolation("hom order not antisymmetric")
+                for c in range(n):
+                    if self.leq[a][b] and self.leq[b][c] and not self.leq[a][c]:
+                        raise InvariantViolation("hom order not transitive")
+
+    def __len__(self) -> int:
+        return len(self.element_ids)
+
+    def pos(self, x: Indec | int) -> int:
+        xid = x.id if isinstance(x, Indec) else x
+        return self._pos[xid]
+
+    def leq_elements(self, a: Indec | int, b: Indec | int) -> bool:
+        return self.leq[self.pos(a)][self.pos(b)]
+
+    def minimum(self) -> Indec:
+        return self._unique([a for a, row in enumerate(self.leq) if all(row)], "minimum")
+
+    def maximum(self) -> Indec:
+        return self._unique([b for b, col in enumerate(zip(*self.leq)) if all(col)], "maximum")
+
+    def _unique(self, found: list[int], what: str) -> Indec:
+        if len(found) != 1:
+            raise InvariantViolation(f"hom poset has no unique {what}")
+        return self.ar.indecs[self.element_ids[found[0]]]
+
+    def index_of(self, v: Antichain) -> int:
+        try:
+            return self._index[tuple(v.members)]
+        except KeyError:
+            raise DomainError(f"{v} is not an antichain of this poset") from None
 
 def build_ar(q: Quiver) -> ARQuiver:
     """Knit the AR quiver of a Dynkin quiver.
@@ -397,18 +520,11 @@ def tau_inv_class(ar: ARQuiver, m: ModuleClass) -> ModuleClass:
     return ModuleClass(tuple(0 if t is None else m.mults[t] for t in ar.tau_ids))
 
 
-def thick_vertices(ar: ARQuiver) -> frozenset[int]:
-    """Vertices where some indecomposable has dimension >= 2."""
-    return frozenset(
-        i for i in range(1, ar.rank + 1) if any(x.dim[i - 1] >= 2 for x in ar.indecs)
-    )
-
-
-def _thick_vertices_of(diag: Diagram) -> frozenset[int]:
-    roots = positive_roots(diag)
-    return frozenset(
-        i for i in range(1, diag.rank + 1) if any(r[i - 1] >= 2 for r in roots)
-    )
+def thick_vertices(ar: ARQuiver | Diagram) -> frozenset[int]:
+    """Vertices where some indecomposable (a positive root) has dimension >= 2."""
+    diag = ar if isinstance(ar, Diagram) else ar.quiver.diagram
+    top = [max(col) for col in zip(*positive_roots(diag))]
+    return frozenset(i for i, t in enumerate(top, 1) if t >= 2)
 
 
 def special_orientations(diag: Diagram) -> tuple[Quiver, ...]:
@@ -417,7 +533,7 @@ def special_orientations(diag: Diagram) -> tuple[Quiver, ...]:
     A source vertex i admits dim Hom(X, S(i)) = dim X_i, so this matches
     filtering all orientations by the direct <= 1 condition.
     """
-    thick = _thick_vertices_of(diag)
+    thick = thick_vertices(diag)
     return tuple(
         q for q in all_orientations(diag) if not (thick & set(q.sources()))
     )

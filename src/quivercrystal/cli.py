@@ -38,6 +38,14 @@ def _parse_diagram(text: str):
     return diagram(m.group(1), int(m.group(2)))
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type of counts and bounds: a nonnegative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
+
+
 def _load_module(ar, spec: str) -> ModuleClass:
     text = spec.strip()
     if not text.startswith("{"):
@@ -50,8 +58,6 @@ def _load_module(ar, spec: str) -> ModuleClass:
 
 
 def _cmd_quiver(args) -> int:
-    if args.action != "validate":
-        raise QuiverParseError(f"unknown quiver action {args.action!r}")
     q = parse_quiver(args.spec)
     print(q.to_json() if args.format == "json" else q.text_spec())
     return 0
@@ -65,7 +71,7 @@ def _cmd_ar(args) -> int:
     return 0
 
 
-def _poset_doc(ar, p):
+def _hom_poset_doc(ar, p):
     return {
         "i": p.vertex,
         "elements": [list(ar.indecs[xid].dim) for xid in p.element_ids],
@@ -83,7 +89,7 @@ def _cmd_poset(args) -> int:
     ar = build_ar(parse_quiver(args.quiver))
     p = crystal_ops.hom_poset(ar, args.i)
     if args.format == "json":
-        print(_dump(_poset_doc(ar, p)))
+        print(_dump(_hom_poset_doc(ar, p)))
         return 0
     print(f"poset at vertex {p.vertex}: {len(p)} elements")
     for xid in p.element_ids:
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", required=True)
     p.add_argument("-i", type=int, required=True)
     p.add_argument("--oracle", choices=["geom"], default=None)
-    p.add_argument("--limit", type=int, default=pm_graph.DEFAULT_SEARCH_LIMIT)
+    p.add_argument("--limit", type=_nonnegative, default=pm_graph.DEFAULT_SEARCH_LIMIT)
     p.add_argument("--pm-dot", action="store_true",
                    help="emit the expanded multiplicity graph as DOT instead")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="generate the crystal graph to a depth")
     p.add_argument("--quiver", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=crystal_graph.DEFAULT_VERTEX_BUDGET)
+    p.add_argument("--max-vertices", type=_nonnegative, default=crystal_graph.DEFAULT_VERTEX_BUDGET)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(func=_cmd_graph)
 
@@ -313,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run axiom checks, exit 1 on violation")
     p.add_argument("--quiver", required=True)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--max-vertices", type=int, default=crystal_graph.DEFAULT_VERTEX_BUDGET)
-    p.add_argument("--samples", type=int, default=0, help="extra randomized checks")
+    p.add_argument("--max-vertices", type=_nonnegative, default=crystal_graph.DEFAULT_VERTEX_BUDGET)
+    p.add_argument("--samples", type=_nonnegative, default=0, help="extra randomized checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int, default=pm_graph.DEFAULT_SEARCH_LIMIT)
+    p.add_argument("--limit", type=_nonnegative, default=pm_graph.DEFAULT_SEARCH_LIMIT)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_check)
 

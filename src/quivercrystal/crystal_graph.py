@@ -175,7 +175,7 @@ class CheckReport:
 
 
 def check_axioms(g: CrystalGraph) -> CheckReport:
-    """Re-derive every edge and every vertex statistic from the operators."""
+    """Re-derive every edge, vertex statistic and level (the height) from the operators."""
     ar = g.ar
     n = ar.rank
     for key, data in g.vertices.items():
@@ -183,6 +183,8 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
         wt = weight_of(ar, m)
         if wt != data.weight:
             return CheckReport(False, 0, f"stored weight wrong at {key}")
+        if data.level != -sum(wt):
+            return CheckReport(False, 0, f"stored level is not the height at {key}")
         for i in range(1, n + 1):
             eps = epsilon_i(ar, m, i)
             if eps != data.epsilon[i - 1]:
@@ -251,7 +253,7 @@ def graph_from_json(text: str) -> CrystalGraph:
     Malformed or inconsistent documents raise QuiverParseError: depth,
     levels and edge labels must be JSON integers in range (depth >= 0),
     every vertex lists `rank` JSON integers for epsilon, phi and weight,
-    and no vertex key appears twice.
+    no vertex key appears twice, and level 0 holds exactly the zero class.
     """
     from .ar_quiver import module_from_json
 
@@ -301,5 +303,7 @@ def graph_from_json(text: str) -> CrystalGraph:
             raise QuiverParseError(f"edge label {i!r} outside 1..{n}")
         if s not in vertices or t not in vertices:
             raise QuiverParseError("edge endpoint is not a vertex of the graph")
+    if levels[0] != [zero_module(ar).mults]:
+        raise QuiverParseError("level 0 must hold exactly the zero class")
     levels = [sorted(level) for level in levels]
     return CrystalGraph(ar, depth, vertices, edges, levels)

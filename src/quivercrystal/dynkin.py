@@ -134,16 +134,21 @@ _ARROW_RE = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*$")
 def parse_quiver(spec: str) -> Quiver:
     """Parse `A3: 2->1, 2->3` style text or the JSON alternative.
 
-    The JSON form is `{"type":"A","rank":3,"arrows":[[2,1],[2,3]]}`.
+    The JSON form is `{"type":"A","rank":3,"arrows":[[2,1],[2,3]]}`, with
+    a string type and JSON integers for the rank and arrow endpoints.
     """
     spec = spec.strip()
     if spec.startswith("{"):
         try:
             obj = json.loads(spec)
-            letter, rank = obj["type"], int(obj["rank"])
-            arrows = [(int(a), int(b)) for a, b in obj["arrows"]]
+            letter, rank = obj["type"], obj["rank"]
+            arrows = [(a, b) for a, b in obj["arrows"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise QuiverParseError(f"bad quiver JSON: {exc}") from exc
+        # JSON integers only: floats, strings and booleans are not coerced.
+        ints = [rank, *(v for arrow in arrows for v in arrow)]
+        if type(letter) is not str or any(type(x) is not int for x in ints):
+            raise QuiverParseError("quiver JSON needs a string type and integer rank and arrows")
         return _orient(diagram(letter, rank), arrows)
     m = _HEAD_RE.match(spec)
     if not m:

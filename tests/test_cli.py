@@ -252,3 +252,42 @@ def test_check_deterministic_given_seed(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "command", [["quiver", "validate"], ["ar", "--quiver"]], ids=["validate", "ar"]
+)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"type":"A","rank":2.7,"arrows":[[2,1]]}',
+        '{"type":"A","rank":true,"arrows":[]}',
+        '{"type":"A","rank":"2","arrows":[[2,1]]}',
+        '{"type":"A","rank":2,"arrows":[["2",1]]}',
+        '{"type":"A","rank":2,"arrows":[[2,1.0]]}',
+        '{"type":5,"rank":2,"arrows":[[2,1]]}',
+    ],
+    ids=["float-rank", "bool-rank", "string-rank", "string-arrow", "float-arrow", "int-type"],
+)
+def test_quiver_json_fields_are_not_coerced(capsys, command, spec):
+    code, out, err = run_cli(capsys, *command, spec)
+    assert code == 2 and out == "" and "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--quiver", "A2: 2->1", "--samples", "-3"],
+        ["check", "--quiver", "A2: 2->1", "--limit", "-1"],
+        ["check", "--quiver", "A2: 2->1", "--max-vertices", "-1"],
+        ["graph", "--quiver", "A2: 2->1", "--depth", "2", "--max-vertices", "-1"],
+        ["epsilon", "--quiver", "A2: 2->1", "--module", "{}", "-i", "1", "--limit", "-1"],
+    ],
+    ids=["check-samples", "check-limit", "check-max-vertices", "graph-max-vertices",
+         "epsilon-limit"],
+)
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "nonnegative" in capsys.readouterr().err

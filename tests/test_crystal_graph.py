@@ -114,6 +114,15 @@ def test_check_axioms_rejects_edge_to_missing_vertex():
     assert "not a vertex" in report.first_violation
 
 
+def test_check_axioms_rejects_a_level_that_is_not_the_height():
+    doc = json.loads(generate(ar_of(A2), 2).to_json())
+    moved = next(v for v in doc["vertices"] if v["level"] == 1)
+    moved["level"] = 2
+    report = check_axioms(graph_from_json(json.dumps(doc)))
+    assert not report.ok
+    assert "level" in report.first_violation
+
+
 def test_compare_same_quiver():
     q = parse_quiver(A3_MIDDLE)
     assert compare_orientations(q, q, 4)
@@ -184,6 +193,11 @@ def test_graph_from_json_rejects_malformed_documents():
     bad_labels = [with_label(0), with_label(4), with_label(-1)]
     duplicate = dict(doc, vertices=doc["vertices"] + [doc["vertices"][0]])
     negative_depth = dict(doc, depth=-1, vertices=[], edges=[])
+    no_vertices = dict(doc, vertices=[], edges=[])
+    root, first = doc["vertices"][:2]
+    nonzero_root = dict(
+        doc, vertices=[dict(root, level=1), dict(first, level=0)] + doc["vertices"][2:]
+    )
     texts = [
         "{not json",
         json.dumps(no_depth),
@@ -194,6 +208,8 @@ def test_graph_from_json_rejects_malformed_documents():
         *map(json.dumps, bad_lists + bad_ints + bad_labels),
         json.dumps(duplicate),
         json.dumps(negative_depth),
+        json.dumps(no_vertices),
+        json.dumps(nonzero_root),
     ]
     for text in texts:
         with pytest.raises(QuiverParseError):

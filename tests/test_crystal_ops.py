@@ -26,6 +26,7 @@ from quivercrystal import (
 )
 from quivercrystal.ar_quiver import build_ar
 from quivercrystal.dynkin import all_orientations, diagram, parse_quiver
+from quivercrystal.pm_graph import build_pm
 
 D4_SPECIAL = "D4: 1->2, 3->2, 4->2"
 
@@ -325,3 +326,20 @@ def test_shared_ar_quiver_gives_identical_results_across_threads():
             assert p is q and stats == expected
     for i in range(1, ar.rank + 1):
         assert hom_poset(ar, i) is first[(i - 1) * len(classes)][0]
+
+
+def test_ar_quiver_is_not_written_after_construction():
+    ar = build_ar(parse_quiver("E6: 1->2, 2->3, 3->4, 3->6, 4->5"))
+    before = dict(vars(ar))
+    dicts = {k: dict(v) for k, v in before.items() if isinstance(v, dict)}
+    rng = random.Random(5)
+    m = ModuleClass(tuple(rng.randrange(3) for _ in range(len(ar))))
+    for i in range(1, ar.rank + 1):
+        build_pm(ar, hom_poset(ar, i), m)
+        epsilon_i(ar, m, i)
+        e_tilde(ar, f_tilde(ar, m, i), i)
+    after = vars(ar)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+    assert {k: after[k] for k in dicts} == dicts
+

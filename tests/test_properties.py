@@ -1,8 +1,12 @@
-"""Property tests over random classes with multiplicities at most 2.
+"""Property tests over random classes with multiplicities at most 2,
+crystal graphs of depth at most 3 and command lines from a small grammar.
 
-Classes are drawn on every special orientation of A3, A4 and D4; the
-settings are derandomized so the suite stays deterministic.
+Classes and graphs are drawn on every special orientation of A3, A4 and
+D4; the settings are derandomized so the suite stays deterministic.
 """
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -18,6 +22,8 @@ from quivercrystal import (
     eps_of,
     epsilon_i,
     f_tilde,
+    generate,
+    graph_from_json,
     hom_poset,
     min_epsilon,
     module_from_json,
@@ -25,6 +31,7 @@ from quivercrystal import (
     special_orientations,
     weight_of,
 )
+from quivercrystal import cli
 from quivercrystal.dynkin import diagram
 
 POOL = tuple(
@@ -76,3 +83,84 @@ def test_lowering_is_inverted_by_raising(case):
 def test_module_json_round_trip(case):
     ar, m, _ = case
     assert module_from_json(ar, module_to_json(ar, m)) == m
+
+
+@SETTINGS
+@given(st.sampled_from(POOL), st.integers(0, 3))
+def test_graph_json_round_trip(ar, depth):
+    g = generate(ar, depth)
+    text = g.to_json()
+    back = graph_from_json(text)
+    assert back.vertices == g.vertices
+    assert sorted(back.edges) == sorted(g.edges)
+    assert back.levels == g.levels
+    assert back.to_json() == text
+
+
+QUIVERS = (
+    "A2: 2->1",
+    "A3: 2->1, 2->3",
+    "D4: 1->2, 2->3, 2->4",
+    "D4: 2->1, 2->3, 2->4",  # not special
+    "A3: 1->2, 2->1",
+    "D3: 1->2, 2->3",
+    "Q2",
+    '{"type":"A","rank":2,"arrows":[[2,1]]}',
+    '{"type":"A","rank":2.7,"arrows":[[2,1]]}',
+    '{"type":"A","rank":true,"arrows":[]}',
+    '{"type":"A","rank":"2","arrows":[[2,1]]}',
+    '{"type":"A","rank":2,"arrows":[["2",1]]}',
+    '{"type":5,"rank":2,"arrows":[[2,1]]}',
+)
+MODULES = ("{}", '{"1,0":1}', '{"0,1":2,"1,1":1}', '{"1,1,1":1.5}', '{"9,9":1}', "[]", "{")
+VERTICES = ("-1", "0", "1", "2", "5", "x")
+DEPTHS = ("-1", "0", "1", "2", "x")
+COUNTS = ("-3", "-1", "0", "2", "x")
+
+
+def _words(*parts):
+    return st.tuples(*parts).map(lambda ps: [w for p in ps for w in p])
+
+
+def _flag(name, values):
+    return st.sampled_from(values).map(lambda v: [name, v])
+
+
+def _maybe(name, values):
+    return st.just([]) | _flag(name, values)
+
+
+_QUIVER = _flag("--quiver", QUIVERS)
+ARGV = st.one_of(
+    _words(st.just(["quiver", "validate"]), st.sampled_from(QUIVERS).map(lambda q: [q])),
+    _words(st.just(["ar"]), _QUIVER, _maybe("--format", ("json", "dot"))),
+    _words(st.sampled_from((["poset"], ["antichains"])), _QUIVER, _flag("-i", VERTICES)),
+    _words(
+        st.just(["apply"]), _QUIVER, _flag("--module", MODULES),
+        _flag("--ops", ("f1 f2", "f1 e1 e1", "e2", "f9", "g1", "")),
+        st.sampled_from(([], ["--strict"])),
+    ),
+    _words(
+        st.just(["epsilon"]), _QUIVER, _flag("--module", MODULES), _flag("-i", VERTICES),
+        _maybe("--oracle", ("geom",)), _maybe("--limit", COUNTS),
+    ),
+    _words(st.just(["graph"]), _QUIVER, _flag("--depth", DEPTHS), _maybe("--max-vertices", COUNTS)),
+    _words(st.just(["special"]), st.sampled_from(("A3", "D4", "E8", "E9", "x")).map(lambda d: [d])),
+    _words(
+        st.just(["check"]), _QUIVER, _flag("--depth", DEPTHS), _maybe("--samples", COUNTS),
+        _maybe("--limit", COUNTS), _maybe("--max-vertices", COUNTS),
+        _maybe("--format", ("text", "json")),
+    ),
+)
+
+
+@SETTINGS
+@given(ARGV)
+def test_cli_ends_in_a_documented_exit_code(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
