@@ -4,8 +4,8 @@ The AR quiver is knitted forward from the projectives: whenever every
 irreducible map out of a non-injective X is known, the mesh ending at
 the translate of X determines dim tau^{-1}X additively.  Hom and Ext
 dimensions are then computed by walking tau orbits back to projectives,
-with Ext obtained from Hom through Auslander-Reiten duality.  For a
-special orientation the poset of every vertex (`HomPoset`) is built too.
+with Ext obtained from Hom through Auslander-Reiten duality.  The poset
+of a vertex (`HomPoset`) is built from an AR quiver but not stored on it.
 """
 
 from __future__ import annotations
@@ -105,12 +105,7 @@ class ARQuiver:
         self._inj = {x.injective_vertex: x for x in indecs if x.is_injective}
         self._hom = self._hom_table()
         simples = [self.simple(i).id for i in range(1, self.rank + 1)]
-        special = all(row[s] <= 1 for row in self._hom for s in simples)
-        # The table of every vertex when the crystal recipes apply, read
-        # through crystal_ops.hom_poset.
-        self.posets = (
-            {i: HomPoset(self, i) for i in range(1, self.rank + 1)} if special else {}
-        )
+        self._special = all(row[s] <= 1 for row in self._hom for s in simples)
 
     def _hom_table(self) -> tuple[tuple[int, ...], ...]:
         """dim Hom(X, Y) for every pair, by shifting both back along tau orbits.
@@ -183,7 +178,7 @@ class ARQuiver:
 
     def is_special(self) -> bool:
         """Whether every indecomposable maps to each simple with multiplicity <= 1."""
-        return bool(self.posets)
+        return self._special
 
     def to_json(self) -> str:
         objs = []
@@ -241,12 +236,17 @@ class HomPoset:
     """
 
     def __init__(self, ar: ARQuiver, i: int):
-        self.ar = ar
+        if not 1 <= i <= ar.rank:
+            raise DomainError(f"vertex {i} out of range")
+        if not ar.is_special():
+            raise DomainError(
+                f"{ar.quiver.text_spec()} is not special; crystal recipes do not apply"
+            )
         self.vertex = i
         s = ar.simple(i)
-        self.element_ids = tuple(
-            x.id for x in ar.indecs if ar.hom_dim(x, s) >= 1
-        )
+        # The elements by position; the poset keeps no reference to ar.
+        self.elements = tuple(x for x in ar.indecs if ar.hom_dim(x, s) >= 1)
+        self.element_ids = tuple(x.id for x in self.elements)
         self._pos = {xid: k for k, xid in enumerate(self.element_ids)}
         n = len(self.element_ids)
         leq = self.leq = tuple(
@@ -330,7 +330,7 @@ class HomPoset:
     def _unique(self, found: list[int], what: str) -> Indec:
         if len(found) != 1:
             raise InvariantViolation(f"hom poset has no unique {what}")
-        return self.ar.indecs[self.element_ids[found[0]]]
+        return self.elements[found[0]]
 
     def index_of(self, v: Antichain) -> int:
         try:
@@ -468,9 +468,6 @@ class ModuleClass:
     def dimension_vector(self, ar: ARQuiver) -> DimVector:
         mults = self.mults
         return tuple([sum(map(mul, mults, col)) for col in ar.dim_columns])
-
-    def total_dim(self, ar: ARQuiver) -> int:
-        return sum(self.dimension_vector(ar))
 
 
 def zero_module(ar: ARQuiver) -> ModuleClass:

@@ -12,7 +12,9 @@ other quiver up front.
 
 from __future__ import annotations
 
-from operator import neg
+from operator import gt, lt, neg
+from threading import Lock
+from weakref import WeakKeyDictionary
 
 from .ar_quiver import Antichain, ARQuiver, HomPoset, Indec, ModuleClass
 from .dynkin import Weight, coroot_pairing
@@ -34,16 +36,26 @@ __all__ = [
 ]
 
 
+# Vertex tables by AR quiver, each built on first use.  The keys are weak
+# and a HomPoset keeps no reference to its AR quiver, so the tables go
+# when the AR quiver goes; the AR quiver itself is never written.
+_tables: WeakKeyDictionary[ARQuiver, dict[int, HomPoset]] = WeakKeyDictionary()
+_building = Lock()
+
+
 def hom_poset(ar: ARQuiver, i: int) -> HomPoset:
-    """The poset for vertex i, built with the AR quiver; DomainError if there is none."""
-    p = ar.posets.get(i)
-    if p is None:
-        if not 1 <= i <= ar.rank:
-            raise DomainError(f"vertex {i} out of range")
-        raise DomainError(
-            f"{ar.quiver.text_spec()} is not special; crystal recipes do not apply"
-        )
-    return p
+    """The poset for vertex i, built once per AR quiver; DomainError if there is none."""
+    try:
+        return _tables[ar][i]
+    except KeyError:
+        pass
+    with _building:
+        per_vertex = _tables.get(ar)
+        if per_vertex is None:
+            per_vertex = _tables[ar] = {}
+        if i not in per_vertex:
+            per_vertex[i] = HomPoset(ar, i)
+        return per_vertex[i]
 
 
 def antichains(p: HomPoset) -> tuple[Antichain, ...]:
@@ -91,19 +103,14 @@ def epsilon_i(ar: ARQuiver, m: ModuleClass, i: int) -> int:
 
 def exchange_set(p: HomPoset, v: Antichain) -> tuple[Indec, ...]:
     """Minimal elements among those not below v; their tau translates get swapped."""
-    return tuple(p.ar.indecs[p.element_ids[b]] for b in p.exchange[p.index_of(v)])
+    return tuple(p.elements[b] for b in p.exchange[p.index_of(v)])
 
 
 def _unique_extremum(p: HomPoset, candidates: list[int], maximal: bool) -> int:
-    down = p.downsets
-    if maximal:
-        extreme = [
-            v for v in candidates if not any(down[v] < down[w] for w in candidates)
-        ]
-    else:
-        extreme = [
-            v for v in candidates if not any(down[w] < down[v] for w in candidates)
-        ]
+    down, beaten = p.downsets, lt if maximal else gt
+    extreme = [
+        v for v in candidates if not any(beaten(down[v], down[w]) for w in candidates)
+    ]
     if len(extreme) != 1:
         raise InvariantViolation(
             f"score maximizers lack a unique {'maximal' if maximal else 'minimal'} element"

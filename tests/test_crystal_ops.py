@@ -1,6 +1,8 @@
+import gc
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -24,7 +26,7 @@ from quivercrystal import (
     weight_of,
     zero_module,
 )
-from quivercrystal.ar_quiver import build_ar
+from quivercrystal.ar_quiver import HomPoset, build_ar
 from quivercrystal.dynkin import all_orientations, diagram, parse_quiver
 from quivercrystal.pm_graph import build_pm
 
@@ -343,3 +345,33 @@ def test_ar_quiver_is_not_written_after_construction():
     assert all(after[k] is v for k, v in before.items())
     assert {k: after[k] for k in dicts} == dicts
 
+
+
+def test_vertex_tables_are_built_only_when_asked(monkeypatch):
+    # Alternating A12: the source vertices' posets have up to 924 antichains,
+    # while vertex 1's poset is a 12-element chain.
+    spec = ", ".join(f"{a}->{a + 1}" if a % 2 else f"{a + 1}->{a}" for a in range(1, 12))
+    built = []
+    init = HomPoset.__init__
+
+    def counting(self, ar, i):
+        built.append(i)
+        init(self, ar, i)
+
+    monkeypatch.setattr(HomPoset, "__init__", counting)
+    ar = build_ar(parse_quiver(f"A12: {spec}"))
+    assert ar.is_special() and built == []
+    assert len(antichains(hom_poset(ar, 1))) == 12
+    epsilon_i(ar, zero_module(ar), 1)
+    f_tilde(ar, zero_module(ar), 1)
+    assert built == [1]
+
+
+def test_vertex_tables_go_with_their_ar_quiver():
+    ar = build_ar(parse_quiver(D4_SPECIAL))
+    for i in range(1, ar.rank + 1):
+        epsilon_i(ar, zero_module(ar), i)
+    gone = weakref.ref(ar)
+    del ar
+    gc.collect()
+    assert gone() is None
