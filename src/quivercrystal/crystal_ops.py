@@ -18,7 +18,7 @@ from weakref import WeakKeyDictionary
 
 from .ar_quiver import Antichain, ARQuiver, HomPoset, Indec, ModuleClass
 from .dynkin import Weight, coroot_pairing
-from .errors import DomainError, InvariantViolation
+from .errors import InvariantViolation
 
 __all__ = [
     "HomPoset",
