@@ -1,8 +1,8 @@
 """Auslander-Reiten quivers of Dynkin quivers, built by knitting.
 
-The AR quiver is knitted forward from the projectives: whenever every
-irreducible map out of a non-injective X is known, the mesh ending at
-the translate of X determines dim tau^{-1}X additively.  Hom and Ext
+The AR quiver is knitted slice by slice along ZQ^op: slice 0 holds the
+projectives, and slice k+1 holds tau^{-1}X for each non-injective X of
+slice k, with dim tau^{-1}X read additively off the mesh from X.  Hom and Ext
 dimensions are then computed by walking tau orbits back to projectives,
 with Ext obtained from Hom through Auslander-Reiten duality.  The poset
 of a vertex (`HomPoset`) is built from an AR quiver but not stored on it.
@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from operator import mul
 
-from .dynkin import DimVector, Diagram, Quiver, all_orientations, positive_roots, ringel_form
+from .dynkin import DimVector, Diagram, Quiver, all_orientations, positive_roots
 from .errors import DomainError, InvariantViolation, QuiverParseError
 
 __all__ = [
@@ -111,19 +111,17 @@ class ARQuiver:
         """dim Hom(X, Y) for every pair, by shifting both back along tau orbits.
 
         Rows are filled in id order; tau X always has a smaller id than X,
-        so the row it refers to already exists.
+        so the row it refers to already exists.  Hom(X, P) = 0 unless X is
+        projective: kQ is hereditary, so a nonzero image in P splits off X.
         """
         rows: list[tuple[int, ...]] = []
         for x in self.indecs:
             if x.is_projective:
                 row = tuple(y.dim[x.projective_vertex - 1] for y in self.indecs)
             else:
-                tx = self.tau_ids[x.id]
-                prev, tdim = rows[tx], self.indecs[tx].dim
+                prev = rows[self.tau_ids[x.id]]
                 row = tuple(
-                    ringel_form(self.quiver, x.dim, y.dim) + tdim[y.projective_vertex - 1]
-                    if y.is_projective
-                    else prev[self.tau_ids[y.id]]
+                    0 if y.is_projective else prev[self.tau_ids[y.id]]
                     for y in self.indecs
                 )
             rows.append(row)
@@ -339,83 +337,63 @@ class HomPoset:
             raise DomainError(f"{v} is not an antichain of this poset") from None
 
 def build_ar(q: Quiver) -> ARQuiver:
-    """Knit the AR quiver of a Dynkin quiver.
+    """Knit the AR quiver of a Dynkin quiver slice by slice along ZQ^op.
 
-    Starts from the projectives P(i) (paths-from-i dimension vectors) and
-    repeatedly completes meshes: once tau^{-1} is known for every
-    non-injective source of an arrow into X, the arrows out of X are all
-    present and dim tau^{-1}X = sum of the middle terms minus dim X.
+    Slice 0 holds the projectives P(i) (paths-from-i dimension vectors).
+    Slice k+1 holds tau^{-1} of each non-injective (k, i) of slice k.  The
+    middle terms of its mesh, (k, a) for each arrow a -> i and (k+1, b) for
+    each arrow i -> b, are the sources of the arrows into tau^{-1}(k, i), and
+    its dimension vector is their sum minus dim (k, i).  Vertices are visited
+    targets first (dim P(b) < dim P(i) for i -> b), so each (k+1, b) is
+    knitted before it is needed.
     """
     roots = set(positive_roots(q))
-    proj_dims = _paths_dims(q, forward=True)
-    inj_dims = _paths_dims(q, forward=False)
-    inj_of = {dim: i for i, dim in inj_dims.items()}
-
-    nodes: dict[DimVector, dict] = {}
-    arrows_in: dict[DimVector, list[DimVector]] = defaultdict(list)
+    inj_of = {dim: i for i, dim in _paths_dims(q, forward=False).items()}
+    cur = _paths_dims(q, forward=True)
+    proj_of = {dim: i for i, dim in cur.items()}
+    targets_first = sorted(cur, key=lambda i: sum(cur[i]))
+    nodes: set[DimVector] = set()
     arrows_out: dict[DimVector, list[DimVector]] = defaultdict(list)
-    tau_inv_done: dict[DimVector, DimVector] = {}
-
-    def add_node(dim: DimVector, proj: int | None) -> None:
-        if dim not in roots:
-            raise InvariantViolation(f"knitting produced non-root {dim} for {q}")
-        if dim in nodes:
-            raise InvariantViolation(f"knitting produced duplicate {dim} for {q}")
-        nodes[dim] = {"proj": proj, "inj": inj_of.get(dim)}
-
-    def add_arrow(src: DimVector, dst: DimVector) -> None:
-        arrows_out[src].append(dst)
-        arrows_in[dst].append(src)
-
-    for i in range(1, q.diagram.rank + 1):
-        add_node(proj_dims[i], i)
+    tau_dims: list[tuple[DimVector, DimVector]] = []
     for a, b in q.arrows:
-        add_arrow(proj_dims[b], proj_dims[a])
-
-    pending = {dim for dim, info in nodes.items() if info["inj"] is None}
-    while pending:
-        ready = [
-            x
-            for x in sorted(pending)
-            if all(
-                nodes[w]["inj"] is not None or w in tau_inv_done for w in arrows_in[x]
-            )
-        ]
-        if not ready:
-            raise InvariantViolation(f"knitting stalled for {q}")
-        for x in ready:
-            middles = arrows_out[x]
-            z = tuple(
-                sum(e[j] for e in middles) - x[j] for j in range(q.diagram.rank)
-            )
-            add_node(z, None)
+        arrows_out[cur[b]].append(cur[a])
+    while cur:
+        for dim in cur.values():
+            if dim not in roots:
+                raise InvariantViolation(f"knitting produced non-root {dim} for {q}")
+            if dim in nodes:
+                raise InvariantViolation(f"knitting produced duplicate {dim} for {q}")
+            nodes.add(dim)
+        prev, cur = cur, {}
+        for i in targets_first:
+            x = prev.get(i)
+            if x is None or x in inj_of:
+                continue
+            middles = [prev[a] for a, b in q.arrows if b == i and a in prev]
+            middles += [cur[b] for a, b in q.arrows if a == i and b in cur]
+            cur[i] = tuple(sum(col) - v for v, *col in zip(x, *middles))
+            tau_dims.append((cur[i], x))
             for e in middles:
-                add_arrow(e, z)
-            tau_inv_done[x] = z
-            pending.discard(x)
-            if nodes[z]["inj"] is None:
-                pending.add(z)
+                arrows_out[e].append(cur[i])
 
-    if set(nodes) != roots:
+    if nodes != roots:
         raise InvariantViolation(f"knitting missed roots for {q}")
 
     order = _topological_ids(nodes, arrows_out)
     indecs = tuple(
-        Indec(order[dim], dim, nodes[dim]["proj"], nodes[dim]["inj"])
+        Indec(order[dim], dim, proj_of.get(dim), inj_of.get(dim))
         for dim in sorted(nodes, key=lambda d: order[d])
     )
     arrow_ids = tuple(
         sorted((order[a], order[b]) for a, outs in arrows_out.items() for b in outs)
     )
-    tau_pairs = tuple(
-        sorted((order[z], order[x]) for x, z in tau_inv_done.items())
-    )
+    tau_pairs = tuple(sorted((order[z], order[x]) for z, x in tau_dims))
     ar = ARQuiver(q, indecs, arrow_ids, tau_pairs)
     _check_meshes(ar)
     return ar
 
 
-def _topological_ids(nodes: dict, arrows_out: dict) -> dict[DimVector, int]:
+def _topological_ids(nodes: set, arrows_out: dict) -> dict[DimVector, int]:
     """Kahn order on the irreducible arrows, ties broken by dimension vector."""
     indeg = {dim: 0 for dim in nodes}
     for src, outs in arrows_out.items():
@@ -491,7 +469,7 @@ def module_from_json(ar: ARQuiver, text: str) -> ModuleClass:
     """Parse the `{"1,1,1":2,"1,0,0":1}` wire format."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # ValueError: JSONDecodeError, over-long ints
         raise QuiverParseError(f"bad module JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise QuiverParseError("module JSON must be an object")
@@ -503,6 +481,8 @@ def module_from_json(ar: ARQuiver, text: str) -> ModuleClass:
             dim = tuple(int(p) for p in key.split(","))
         except ValueError as exc:
             raise QuiverParseError(f"bad module entry {key!r}: {val!r}") from exc
+        if val < 0:  # per entry, so another spelling of dim cannot cancel it
+            raise DomainError(f"negative multiplicity for {dim}")
         counts[dim] = counts.get(dim, 0) + val
     return module_from_dim_dict(ar, counts)
 

@@ -52,7 +52,7 @@ def _load_module(ar, spec: str) -> ModuleClass:
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise QuiverParseError(f"cannot read module file {spec!r}: {exc}") from exc
     return module_from_json(ar, text)
 
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="generate the crystal graph to a depth")
     p.add_argument("--quiver", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_nonnegative, required=True)
     p.add_argument("--max-vertices", type=_nonnegative, default=crystal_graph.DEFAULT_VERTEX_BUDGET)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(func=_cmd_graph)
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run axiom checks, exit 1 on violation")
     p.add_argument("--quiver", required=True)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_nonnegative, default=4)
     p.add_argument("--max-vertices", type=_nonnegative, default=crystal_graph.DEFAULT_VERTEX_BUDGET)
     p.add_argument("--samples", type=_nonnegative, default=0, help="extra randomized checks")
     p.add_argument("--seed", type=int, default=0)

@@ -175,7 +175,11 @@ class CheckReport:
 
 
 def check_axioms(g: CrystalGraph) -> CheckReport:
-    """Re-derive every edge, vertex statistic and level (the height) from the operators."""
+    """Re-derive every edge, vertex statistic and level (the height) from the operators.
+
+    Then check that the graph is complete: one i-edge for each i out of every
+    vertex below `depth`, none out of level `depth`, one into every other vertex.
+    """
     ar = g.ar
     n = ar.rank
     for key, data in g.vertices.items():
@@ -210,6 +214,21 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
             w - (1 if j == i - 1 else 0) for j, w in enumerate(sd.weight)
         ):
             return CheckReport(False, k, f"edge {k}: weight does not drop by alpha_{i}")
+    out_labels: set[tuple[Key, int]] = set()
+    for k, (src, i, _) in enumerate(g.edges):
+        if g.vertices[src].level == g.depth:
+            return CheckReport(False, k, f"edge {k}: leaves a vertex at level {g.depth}")
+        if (src, i) in out_labels:
+            return CheckReport(False, k, f"edge {k}: second {i}-edge out of {src}")
+        out_labels.add((src, i))
+    reached = {tgt for _, _, tgt in g.edges}
+    for key, data in g.vertices.items():
+        labels = range(1, n + 1) if data.level < g.depth else ()
+        missing = [i for i in labels if (key, i) not in out_labels]
+        if missing:
+            return CheckReport(False, len(g.edges), f"no {missing[0]}-edge out of {key}")
+        if data.level and key not in reached:  # level 0 holds only the zero class
+            return CheckReport(False, len(g.edges), f"no edge reaches {key}")
     return CheckReport(True, len(g.edges))
 
 
@@ -296,7 +315,7 @@ def graph_from_json(text: str) -> CrystalGraph:
             )
             levels[level].append(key)
         edges = [(key_of(s), i, key_of(t)) for s, i, t in doc["edges"]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise QuiverParseError(f"bad graph JSON: {exc!r}") from exc
     for s, i, t in edges:
         if type(i) is not int or not 1 <= i <= n:

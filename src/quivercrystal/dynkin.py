@@ -143,7 +143,7 @@ def parse_quiver(spec: str) -> Quiver:
             obj = json.loads(spec)
             letter, rank = obj["type"], obj["rank"]
             arrows = [(a, b) for a, b in obj["arrows"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise QuiverParseError(f"bad quiver JSON: {exc}") from exc
         # JSON integers only: floats, strings and booleans are not coerced.
         ints = [rank, *(v for arrow in arrows for v in arrow)]

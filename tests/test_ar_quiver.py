@@ -64,7 +64,7 @@ def test_tau_projective_absent_and_round_trip():
 
 
 def test_every_root_appears_once():
-    for d in (diagram("A", 4), diagram("D", 4)):
+    for d in (diagram("A", 4), diagram("D", 4), diagram("D", 5), diagram("E", 6)):
         for q in all_orientations(d):
             ar = build_ar(q)
             assert sorted(x.dim for x in ar.indecs) == sorted(positive_roots(d))
@@ -86,7 +86,7 @@ def _directed_paths(q, src, dst):
 
 
 def test_mesh_additivity_explicit():
-    for d in (diagram("A", 4), diagram("D", 4)):
+    for d in (diagram("A", 4), diagram("D", 4), diagram("D", 5), diagram("E", 6)):
         for q in all_orientations(d):
             ar = build_ar(q)
             into = defaultdict(list)

@@ -6,6 +6,10 @@ from quivercrystal import crystal_ops
 from quivercrystal.cli import main
 
 
+# Nested past the interpreter's recursion limit, so json.loads raises RecursionError.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -87,10 +91,21 @@ def test_apply_reads_module_file(tmp_path, capsys):
     assert doc["module"] == {"0,1,0": 1, "0,1,1": 2, "1,0,0": 1, "1,1,0": 1, "1,1,1": 1}
 
 
+def test_module_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(
+        capsys, "apply", "--quiver", "A2: 2->1", "--module", str(path), "--ops", ""
+    )
+    assert code == 2 and out == "" and "cannot read module file" in err
+
+
 @pytest.mark.parametrize("command", ["epsilon", "apply"])
 @pytest.mark.parametrize(
-    "module", ['{"1,1,1":1.5}', '{"0,1,0":true}', '{"1,1,1":"2"}'],
-    ids=["float", "bool", "string"],
+    "module",
+    ['{"1,1,1":1.5}', '{"0,1,0":true}', '{"1,1,1":"2"}', '{"0,1,0":' + DEEP + "}",
+     '{"0,1,0":' + "1" * 5000 + "}"],
+    ids=["float", "bool", "string", "deep", "too-many-digits"],
 )
 def test_module_multiplicity_must_be_json_integer(capsys, command, module):
     extra = ["-i", "2"] if command == "epsilon" else ["--ops", "f2"]
@@ -98,6 +113,17 @@ def test_module_multiplicity_must_be_json_integer(capsys, command, module):
         capsys, command, "--quiver", "A3: 2->1, 2->3", "--module", module, *extra
     )
     assert code == 2 and out == "" and "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "module", ['{"1,0":-1}', '{"1,0":2,"1, 0":-1}', '{"1, 0":-1,"1,0":2}'],
+    ids=["alone", "cancelled-after", "cancelled-before"],
+)
+def test_negative_module_entry_is_a_domain_error(capsys, module):
+    code, out, err = run_cli(
+        capsys, "apply", "--quiver", "A2: 2->1", "--module", module, "--ops", ""
+    )
+    assert code == 1 and out == "" and "negative multiplicity for (1, 0)" in err
 
 
 def test_apply_bad_ops_word(capsys):
@@ -266,8 +292,10 @@ def test_check_deterministic_given_seed(capsys):
         '{"type":"A","rank":2,"arrows":[["2",1]]}',
         '{"type":"A","rank":2,"arrows":[[2,1.0]]}',
         '{"type":5,"rank":2,"arrows":[[2,1]]}',
+        '{"type":' + DEEP + ',"rank":2,"arrows":[[2,1]]}',
     ],
-    ids=["float-rank", "bool-rank", "string-rank", "string-arrow", "float-arrow", "int-type"],
+    ids=["float-rank", "bool-rank", "string-rank", "string-arrow", "float-arrow", "int-type",
+         "deep-type"],
 )
 def test_quiver_json_fields_are_not_coerced(capsys, command, spec):
     code, out, err = run_cli(capsys, *command, spec)
@@ -282,9 +310,11 @@ def test_quiver_json_fields_are_not_coerced(capsys, command, spec):
         ["check", "--quiver", "A2: 2->1", "--max-vertices", "-1"],
         ["graph", "--quiver", "A2: 2->1", "--depth", "2", "--max-vertices", "-1"],
         ["epsilon", "--quiver", "A2: 2->1", "--module", "{}", "-i", "1", "--limit", "-1"],
+        ["graph", "--quiver", "A2: 2->1", "--depth", "-1"],
+        ["check", "--quiver", "A2: 2->1", "--depth", "-1"],
     ],
     ids=["check-samples", "check-limit", "check-max-vertices", "graph-max-vertices",
-         "epsilon-limit"],
+         "epsilon-limit", "graph-depth", "check-depth"],
 )
 def test_negative_counts_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -15,6 +15,7 @@ from quivercrystal import (
     kostant_count,
     parse_quiver,
 )
+from quivercrystal import crystal_graph
 from quivercrystal.errors import QuiverParseError, ResourceLimitError
 
 
@@ -123,6 +124,39 @@ def test_check_axioms_rejects_a_level_that_is_not_the_height():
     assert "level" in report.first_violation
 
 
+def test_check_axioms_reports_incomplete_and_inconsistent_graphs(monkeypatch):
+    ar = ar_of(A2)
+    doc = json.loads(generate(ar, 2).to_json())
+    no_edges = dict(doc, edges=[])
+    dropped = next(v["key"] for v in doc["vertices"] if v["level"] == 2)
+    no_vertex = dict(
+        doc,
+        vertices=[v for v in doc["vertices"] if v["key"] != dropped],
+        edges=[e for e in doc["edges"] if e[2] != dropped],
+    )
+    root, first, *rest = doc["vertices"]
+    bad_weight = dict(doc, vertices=[root, dict(first, weight=[5, 5]), *rest])
+    g1, g2, g3 = generate(ar, 1), generate(ar, 2), generate(ar, 3)
+    # A depth-1 graph holding one level-2 vertex as well.
+    extra = g2.levels[2][0]
+    unreached = dict(g1.vertices)
+    unreached[extra] = g2.vertices[extra]
+    cases = [
+        (graph_from_json(json.dumps(no_edges)), "no 1-edge out of (0, 0, 0)"),
+        (graph_from_json(json.dumps(no_vertex)), "no 2-edge out of (0, 0, 1)"),
+        (graph_from_json(json.dumps(bad_weight)), "stored weight wrong"),
+        (CrystalGraph(ar, 2, g3.vertices, g3.edges, g3.levels), "leaves a vertex at level 2"),
+        (CrystalGraph(ar, 2, g2.vertices, g2.edges + g2.edges[:1], g2.levels), "second"),
+        (CrystalGraph(ar, 1, unreached, g1.edges, g1.levels), "no edge reaches"),
+    ]
+    for g, violation in cases:
+        report = check_axioms(g)
+        assert not report.ok and violation in report.first_violation, report
+    monkeypatch.setattr(crystal_graph, "e_tilde", lambda ar, m, i: None)
+    report = check_axioms(g2)
+    assert not report.ok and "does not invert" in report.first_violation, report
+
+
 def test_compare_same_quiver():
     q = parse_quiver(A3_MIDDLE)
     assert compare_orientations(q, q, 4)
@@ -198,8 +232,10 @@ def test_graph_from_json_rejects_malformed_documents():
     nonzero_root = dict(
         doc, vertices=[dict(root, level=1), dict(first, level=0)] + doc["vertices"][2:]
     )
+    deep = '{"depth":' + "[" * 100_000 + "]" * 100_000 + "}"
     texts = [
         "{not json",
+        deep,
         json.dumps(no_depth),
         json.dumps(too_deep),
         json.dumps(dangling),

@@ -97,6 +97,7 @@ def test_graph_json_round_trip(ar, depth):
     assert back.to_json() == text
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # past the recursion limit of json.loads
 QUIVERS = (
     "A2: 2->1",
     "A3: 2->1, 2->3",
@@ -111,8 +112,12 @@ QUIVERS = (
     '{"type":"A","rank":"2","arrows":[[2,1]]}',
     '{"type":"A","rank":2,"arrows":[["2",1]]}',
     '{"type":5,"rank":2,"arrows":[[2,1]]}',
+    '{"type":' + DEEP + ',"rank":2,"arrows":[[2,1]]}',
 )
-MODULES = ("{}", '{"1,0":1}', '{"0,1":2,"1,1":1}', '{"1,1,1":1.5}', '{"9,9":1}', "[]", "{")
+MODULES = (
+    "{}", '{"1,0":1}', '{"0,1":2,"1,1":1}', '{"1,1,1":1.5}', '{"9,9":1}', "[]", "{",
+    '{"0,1,0":' + DEEP + "}",
+)
 VERTICES = ("-1", "0", "1", "2", "5", "x")
 DEPTHS = ("-1", "0", "1", "2", "x")
 COUNTS = ("-3", "-1", "0", "2", "x")
