@@ -229,8 +229,9 @@ class HomPoset:
     """Poset of indecomposables mapping onto S(i), ordered by Hom != 0.
 
     Besides the order it holds every table the crystal operators read:
-    the antichains, their down-sets (as position sets), their exchange
-    sets and the tau translates of the elements.
+    the antichains, their down-sets (as position sets), the plan that
+    builds each down-set from a smaller one, their exchange sets and the
+    tau translates of the elements.
     """
 
     def __init__(self, ar: ARQuiver, i: int):
@@ -284,6 +285,13 @@ class HomPoset:
         self.downsets = tuple(
             frozenset(b for b in range(n) if any(leq[b][c] for c in ch))
             for ch in chains
+        )
+        # Down-set plan, smallest first: (antichain, the down-set left when
+        # one of its members is removed, that member).  -1 is the empty one.
+        parent = {frozenset(): -1, **{d: k for k, d in enumerate(self.downsets)}}
+        self.plan = tuple(
+            (k, parent[self.downsets[k] - {chains[k][-1]}], chains[k][-1])
+            for k in sorted(range(len(chains)), key=lambda k: len(self.downsets[k]))
         )
         self.exchange = tuple(
             tuple(

@@ -16,7 +16,7 @@ import sys
 
 from . import ar_quiver, crystal_graph, crystal_ops, pm_graph
 from .ar_quiver import ModuleClass, build_ar, module_from_json, module_to_json
-from .dynkin import diagram, parse_quiver
+from .dynkin import coroot_pairing, diagram, parse_quiver
 from .errors import (
     DomainError,
     QuiverCrystalError,
@@ -138,12 +138,13 @@ def _parse_ops(text: str, rank: int) -> list[tuple[str, int]]:
 
 
 def _class_stats(ar, m: ModuleClass) -> dict:
-    n = ar.rank
+    eps = [crystal_ops.epsilon_i(ar, m, i) for i in range(1, ar.rank + 1)]
+    wt = crystal_ops.weight_of(ar, m)
     return {
         "module": json.loads(module_to_json(ar, m)),
-        "epsilon": {str(i): crystal_ops.epsilon_i(ar, m, i) for i in range(1, n + 1)},
-        "phi": {str(i): crystal_ops.phi_i(ar, m, i) for i in range(1, n + 1)},
-        "weight": list(crystal_ops.weight_of(ar, m)),
+        "epsilon": {str(i): e for i, e in enumerate(eps, 1)},
+        "phi": {str(i): e + coroot_pairing(ar.quiver, i, wt) for i, e in enumerate(eps, 1)},
+        "weight": list(wt),
     }
 
 
@@ -160,10 +161,10 @@ def _cmd_apply(args) -> int:
     if m is None:
         print("null")
         return 1 if args.strict else 0
+    stats = _class_stats(ar, m)
     if args.format == "json":
-        print(_dump(_class_stats(ar, m)))
+        print(_dump(stats))
     else:
-        stats = _class_stats(ar, m)
         print(_dump(stats["module"]))
         print("epsilon " + _dump(stats["epsilon"]))
         print("phi " + _dump(stats["phi"]))

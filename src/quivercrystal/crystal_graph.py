@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .ar_quiver import ARQuiver, ModuleClass, build_ar, module_to_json, zero_module
-from .crystal_ops import e_tilde, epsilon_i, f_tilde, phi_i, weight_of
+from .crystal_ops import _lower, e_tilde, epsilon_i, f_tilde, phi_i, weight_of
 from .dynkin import DimVector, Quiver, coroot_pairing, parse_quiver, positive_roots
 from .errors import DomainError, QuiverParseError, ResourceLimitError
 
@@ -46,9 +47,6 @@ class CrystalGraph:
     @property
     def root(self) -> Key:
         return self.levels[0][0]
-
-    def out_edges(self) -> dict[tuple[Key, int], Key]:
-        return {(src, i): tgt for src, i, tgt in self.edges}
 
     def to_json(self) -> str:
         ar = self.ar
@@ -101,33 +99,36 @@ def generate(
         raise DomainError("depth must be nonnegative")
     n = ar.rank
     root = zero_module(ar).mults
-    vertices: dict[Key, VertexData] = {root: _vertex_data(ar, root, 0)}
+    # Keys in discovery order; each one's data is filled in when it is expanded.
+    vertices: dict[Key, VertexData | None] = {root: None}
     levels: list[list[Key]] = [[root]]
     edges: list[tuple[Key, int, Key]] = []
-    for level in range(depth):
+    for level in range(depth + 1):
         nxt: list[Key] = []
         for key in levels[level]:
             m = ModuleClass(key)
-            for i in range(1, n + 1):
-                tgt = f_tilde(ar, m, i).mults
-                if tgt not in vertices:
-                    if len(vertices) >= max_vertices:
-                        raise ResourceLimitError(
-                            f"vertex budget {max_vertices} exceeded at depth {level + 1}"
-                        )
-                    vertices[tgt] = _vertex_data(ar, tgt, level + 1)
-                    nxt.append(tgt)
-                edges.append((key, i, tgt))
-        levels.append(sorted(nxt))
+            if level == depth:
+                eps = [epsilon_i(ar, m, i) for i in range(1, n + 1)]
+            else:
+                eps = []
+                for i in range(1, n + 1):
+                    e, lowered = _lower(ar, m, i)
+                    eps.append(e)
+                    tgt = lowered.mults
+                    if tgt not in vertices:
+                        if len(vertices) >= max_vertices:
+                            raise ResourceLimitError(
+                                f"vertex budget {max_vertices} exceeded at depth {level + 1}"
+                            )
+                        vertices[tgt] = None
+                        nxt.append(tgt)
+                    edges.append((key, i, tgt))
+            wt = weight_of(ar, m)
+            phi = tuple(e + coroot_pairing(ar.quiver, i, wt) for i, e in enumerate(eps, 1))
+            vertices[key] = VertexData(level, tuple(eps), phi, wt)
+        if level < depth:
+            levels.append(sorted(nxt))
     return CrystalGraph(ar, depth, vertices, edges, levels)
-
-
-def _vertex_data(ar: ARQuiver, key: Key, level: int) -> VertexData:
-    m = ModuleClass(key)
-    wt = weight_of(ar, m)
-    eps = tuple(epsilon_i(ar, m, i) for i in range(1, ar.rank + 1))
-    phi = tuple(e + coroot_pairing(ar.quiver, i, wt) for i, e in enumerate(eps, 1))
-    return VertexData(level, eps, phi, wt)
 
 
 def kostant_count(q: Quiver, beta: DimVector) -> int:
@@ -190,43 +191,43 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
         if data.level != -sum(wt):
             return CheckReport(False, 0, f"stored level is not the height at {key}")
         for i in range(1, n + 1):
-            eps = epsilon_i(ar, m, i)
-            if eps != data.epsilon[i - 1]:
-                return CheckReport(False, 0, f"stored epsilon_{i} wrong at {key}")
-            expected_phi = eps + coroot_pairing(ar.quiver, i, wt)
-            if data.phi[i - 1] != expected_phi or phi_i(ar, m, i) != expected_phi:
+            phi = phi_i(ar, m, i)
+            if phi != data.phi[i - 1]:
                 return CheckReport(False, 0, f"phi_{i} identity fails at {key}")
+            if phi - coroot_pairing(ar.quiver, i, wt) != data.epsilon[i - 1]:
+                return CheckReport(False, 0, f"stored epsilon_{i} wrong at {key}")
     # The vertex loop has verified every stored statistic against fresh
     # operator output, so the edge checks below read the stored ones.
+    # Completeness violations count only once every edge has passed them.
+    out_labels: defaultdict[Key, set[int]] = defaultdict(set)
+    pending: list[CheckReport] = []
     for k, (src, i, tgt) in enumerate(g.edges):
         sd, td = g.vertices.get(src), g.vertices.get(tgt)
         if sd is None or td is None:
             return CheckReport(False, k, f"edge {k}: endpoint is not a vertex")
-        sm, tm = ModuleClass(src), ModuleClass(tgt)
-        if f_tilde(ar, sm, i).mults != tgt:
+        if f_tilde(ar, ModuleClass(src), i).mults != tgt:
             return CheckReport(False, k, f"edge {k}: f_{i} does not map source to target")
-        back = e_tilde(ar, tm, i)
+        back = e_tilde(ar, ModuleClass(tgt), i)
         if back is None or back.mults != src:
             return CheckReport(False, k, f"edge {k}: e_{i} does not invert f_{i}")
         if td.epsilon[i - 1] != sd.epsilon[i - 1] + 1:
             return CheckReport(False, k, f"edge {k}: epsilon_{i} does not increase by 1")
-        if td.weight != tuple(
-            w - (1 if j == i - 1 else 0) for j, w in enumerate(sd.weight)
-        ):
+        if td.weight != tuple(w - (j == i) for j, w in enumerate(sd.weight, 1)):
             return CheckReport(False, k, f"edge {k}: weight does not drop by alpha_{i}")
-    out_labels: set[tuple[Key, int]] = set()
-    for k, (src, i, _) in enumerate(g.edges):
-        if g.vertices[src].level == g.depth:
-            return CheckReport(False, k, f"edge {k}: leaves a vertex at level {g.depth}")
-        if (src, i) in out_labels:
-            return CheckReport(False, k, f"edge {k}: second {i}-edge out of {src}")
-        out_labels.add((src, i))
+        labels = out_labels[src]
+        if sd.level == g.depth:
+            pending.append(CheckReport(False, k, f"edge {k}: leaves a vertex at level {g.depth}"))
+        elif i in labels:
+            pending.append(CheckReport(False, k, f"edge {k}: second {i}-edge out of {src}"))
+        labels.add(i)
+    if pending:
+        return pending[0]
     reached = {tgt for _, _, tgt in g.edges}
     for key, data in g.vertices.items():
-        labels = range(1, n + 1) if data.level < g.depth else ()
-        missing = [i for i in labels if (key, i) not in out_labels]
-        if missing:
-            return CheckReport(False, len(g.edges), f"no {missing[0]}-edge out of {key}")
+        labels = out_labels.get(key, ())
+        if data.level < g.depth and len(labels) < n:  # every label is in 1..n by now
+            missing = next(i for i in range(1, n + 1) if i not in labels)
+            return CheckReport(False, len(g.edges), f"no {missing}-edge out of {key}")
         if data.level and key not in reached:  # level 0 holds only the zero class
             return CheckReport(False, len(g.edges), f"no edge reaches {key}")
     return CheckReport(True, len(g.edges))
@@ -242,7 +243,8 @@ def compare_orientations(q1: Quiver, q2: Quiver, depth: int) -> bool:
     g1, g2 = generate(ar1, depth), generate(ar2, depth)
     if len(g1.vertices) != len(g2.vertices):
         return False
-    out1, out2 = g1.out_edges(), g2.out_edges()
+    out1 = {(s, i): t for s, i, t in g1.edges}
+    out2 = {(s, i): t for s, i, t in g2.edges}
     pair = {g1.root: g2.root}
     rev = {g2.root: g1.root}
     queue = [(g1.root, g2.root)]

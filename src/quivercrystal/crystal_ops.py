@@ -50,9 +50,7 @@ def hom_poset(ar: ARQuiver, i: int) -> HomPoset:
     except KeyError:
         pass
     with _building:
-        per_vertex = _tables.get(ar)
-        if per_vertex is None:
-            per_vertex = _tables[ar] = {}
+        per_vertex = _tables.setdefault(ar, {})
         if i not in per_vertex:
             per_vertex[i] = HomPoset(ar, i)
         return per_vertex[i]
@@ -88,8 +86,11 @@ def antichain_score(ar: ARQuiver, m: ModuleClass, i: int, v: Antichain) -> int:
 
 def _stats(p: HomPoset, m: ModuleClass) -> tuple[int, list[int]]:
     """One score pass: the string statistic and the indices of its maximizers."""
-    at = _contributions(p, m).__getitem__
-    scores = [sum(map(at, down)) for down in p.downsets]
+    contrib = _contributions(p, m)
+    scores = [0] * (len(p.plan) + 1)  # the last slot stays 0: the empty down-set
+    for k, parent, b in p.plan:
+        scores[k] = scores[parent] + contrib[b]
+    scores.pop()
     best = max(scores)
     if best < 0:
         raise InvariantViolation("maximal antichain score is negative")
@@ -120,20 +121,14 @@ def _unique_extremum(p: HomPoset, candidates: list[int], maximal: bool) -> int:
 
 def f_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass:
     """Lowering operator: swap tau of the exchange set against the maximal maximizer."""
+    return _lower(ar, m, i)[1]
+
+
+def _lower(ar: ARQuiver, m: ModuleClass, i: int) -> tuple[int, ModuleClass]:
+    """epsilon_i(m) and f_tilde(m) from one score pass."""
     p = hom_poset(ar, i)
-    _, candidates = _stats(p, m)
-    v0 = _unique_extremum(p, candidates, maximal=True)
-    mults = list(m.mults)
-    for b in p.exchange[v0]:
-        t = p.tau_ids[b]
-        if t is None:
-            raise InvariantViolation("exchange set contains the projective cover")
-        mults[t] -= 1
-        if mults[t] < 0:
-            raise InvariantViolation("swapped-out summand missing from the class")
-    for xid in p.antichains[v0].members:
-        mults[xid] += 1
-    return ModuleClass(tuple(mults))
+    best, candidates = _stats(p, m)
+    return best, _swap(p, m, _unique_extremum(p, candidates, maximal=True), 1)
 
 
 def e_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass | None:
@@ -142,17 +137,21 @@ def e_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass | None:
     best, candidates = _stats(p, m)
     if best == 0:
         return None
-    v0 = _unique_extremum(p, candidates, maximal=False)
+    return _swap(p, m, _unique_extremum(p, candidates, maximal=False), -1)
+
+
+def _swap(p: HomPoset, m: ModuleClass, v: int, step: int) -> ModuleClass:
+    """Move `step` summands from tau of the exchange set of v onto v (-1: back)."""
     mults = list(m.mults)
-    for xid in p.antichains[v0].members:
-        mults[xid] -= 1
-        if mults[xid] < 0:
-            raise InvariantViolation("minimal maximizer is not a summand of the class")
-    for b in p.exchange[v0]:
+    for b in p.exchange[v]:
         t = p.tau_ids[b]
         if t is None:
             raise InvariantViolation("exchange set contains the projective cover")
-        mults[t] += 1
+        mults[t] -= step
+    for xid in p.antichains[v].members:
+        mults[xid] += step
+    if min(mults) < 0:
+        raise InvariantViolation("swapped-out summand missing from the class")
     return ModuleClass(tuple(mults))
 
 

@@ -15,7 +15,7 @@ from quivercrystal import (
     kostant_count,
     parse_quiver,
 )
-from quivercrystal import crystal_graph
+from quivercrystal import crystal_graph, crystal_ops
 from quivercrystal.errors import QuiverParseError, ResourceLimitError
 
 
@@ -155,6 +155,20 @@ def test_check_axioms_reports_incomplete_and_inconsistent_graphs(monkeypatch):
     monkeypatch.setattr(crystal_graph, "e_tilde", lambda ar, m, i: None)
     report = check_axioms(g2)
     assert not report.ok and "does not invert" in report.first_violation, report
+
+
+@pytest.mark.parametrize("spec, depth", [(A3_MIDDLE, 4), ("D4: 1->2, 2->3, 2->4", 3)])
+def test_score_pass_budget(monkeypatch, spec, depth):
+    """generate makes one score pass per (vertex, i); check_axioms adds two per edge."""
+    passes = []
+    stats = crystal_ops._stats
+    monkeypatch.setattr(crystal_ops, "_stats", lambda p, m: passes.append(1) or stats(p, m))
+    ar = ar_of(spec)
+    g = generate(ar, depth)
+    assert len(passes) == ar.rank * len(g.vertices)
+    passes.clear()
+    assert check_axioms(g).ok
+    assert len(passes) == ar.rank * len(g.vertices) + 2 * len(g.edges)
 
 
 def test_compare_same_quiver():

@@ -23,9 +23,11 @@ from quivercrystal import (
     module_from_dim_dict,
     module_to_json,
     phi_i,
+    special_orientations,
     weight_of,
     zero_module,
 )
+from quivercrystal import crystal_ops
 from quivercrystal.ar_quiver import HomPoset, build_ar
 from quivercrystal.dynkin import all_orientations, diagram, parse_quiver
 from quivercrystal.pm_graph import build_pm
@@ -153,6 +155,25 @@ def test_score_trivial_cases():
         assert antichain_score(ar, zero_module(ar), 2, v) == 0
     s2 = module_from_dim_dict(ar, {(0, 1, 0): 1})
     assert antichain_score(ar, s2, 2, singleton(ar, (0, 1, 0))) == 1
+
+
+def test_incremental_scores_equal_direct_sums_on_d5_and_e6():
+    """The down-set plan gives every antichain its directly summed score."""
+    rng = random.Random(7)
+    quivers = [q for d in (diagram("D", 5), diagram("E", 6)) for q in special_orientations(d)]
+    assert len(quivers) == 15
+    for q in quivers:
+        ar = build_ar(q)
+        for _ in range(12):
+            m = ModuleClass(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(len(ar))))
+            for i in range(1, ar.rank + 1):
+                p = hom_poset(ar, i)
+                scores = [antichain_score(ar, m, i, v) for v in antichains(p)]
+                best = max(scores)
+                assert epsilon_i(ar, m, i) == best
+                assert crystal_ops._stats(p, m) == (
+                    best, [k for k, s in enumerate(scores) if s == best]
+                )
 
 
 def test_epsilon_examples():

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from quivercrystal import (
     ModuleClass,
+    antichain_score,
+    antichains,
     build_ar,
     build_pm,
     e_tilde,
@@ -31,7 +33,7 @@ from quivercrystal import (
     special_orientations,
     weight_of,
 )
-from quivercrystal import cli
+from quivercrystal import cli, crystal_ops
 from quivercrystal.dynkin import diagram
 
 POOL = tuple(
@@ -63,6 +65,18 @@ def test_three_routes_to_epsilon_agree(case):
     g = build_pm(ar, hom_poset(ar, i), m)
     assert min_epsilon(g) == min(eps_of(g, phi) for phi in enumerate_morphisms(g))
     assert min_epsilon(g) == epsilon_i(ar, m, i)
+
+
+@SETTINGS
+@given(class_and_vertex())
+def test_incremental_scores_equal_direct_sums(case):
+    ar, m, _ = case
+    for i in range(1, ar.rank + 1):
+        p = hom_poset(ar, i)
+        scores = [antichain_score(ar, m, i, v) for v in antichains(p)]
+        best = max(scores)
+        assert epsilon_i(ar, m, i) == best
+        assert crystal_ops._stats(p, m) == (best, [k for k, s in enumerate(scores) if s == best])
 
 
 @SETTINGS
