@@ -229,9 +229,9 @@ class HomPoset:
     """Poset of indecomposables mapping onto S(i), ordered by Hom != 0.
 
     Besides the order it holds every table the crystal operators read:
-    the antichains, their down-sets (as position sets), the plan that
-    builds each down-set from a smaller one, their exchange sets and the
-    tau translates of the elements.
+    the antichains, their down-sets (as bit masks over positions), the
+    plan that builds each down-set from a smaller one, their exchange sets
+    and the tau translates of the elements.
     """
 
     def __init__(self, ar: ARQuiver, i: int):
@@ -249,80 +249,63 @@ class HomPoset:
         self._pos = {xid: k for k, xid in enumerate(self.element_ids)}
         n = len(self.element_ids)
         leq = self.leq = tuple(
-            tuple(
-                ar.hom_dim(a, b) >= 1
-                for b in self.element_ids
-            )
-            for a in self.element_ids
+            tuple(ar.hom_dim(a, b) >= 1 for b in self.element_ids) for a in self.element_ids
         )
-        self._check_partial_order()
+        # below[b] has bit a set exactly when a <= b; above is its transpose.
+        below = [sum(1 << a for a in range(n) if leq[a][b]) for b in range(n)]
+        above = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
+        for a in range(n):
+            if not leq[a][a]:
+                raise InvariantViolation("hom order not reflexive")
+            if above[a] & below[a] != 1 << a:
+                raise InvariantViolation("hom order not antisymmetric")
+            if any(below[a] & ~below[b] for b in range(n) if leq[a][b]):
+                raise InvariantViolation("hom order not transitive")
         self.covers = tuple(
             (a, b)
             for a in range(n)
             for b in range(n)
-            if a != b
-            and leq[a][b]
-            and not any(
-                leq[a][c] and leq[c][b] for c in range(n) if c not in (a, b)
-            )
+            if a != b and above[a] & below[b] == 1 << a | 1 << b
         )
         chains: list[tuple[int, ...]] = []
+        downs: list[int] = []
 
-        def extend(start: int, chosen: list[int]) -> None:
+        def extend(start: int, chosen: tuple[int, ...], mask: int, down: int) -> None:
             for k in range(start, n):
-                if all(not (leq[c][k] or leq[k][c]) for c in chosen):
-                    chosen.append(k)
-                    chains.append(tuple(chosen))
-                    extend(k + 1, chosen)
-                    chosen.pop()
+                if not (below[k] & mask or down >> k & 1):
+                    chains.append(chosen + (k,))
+                    downs.append(down | below[k])
+                    extend(k + 1, chains[-1], mask | 1 << k, downs[-1])
 
-        extend(0, [])
+        extend(0, (), 0, 0)
         self.antichains = tuple(
             Antichain(tuple(self.element_ids[k] for k in ch)) for ch in chains
         )
         self._index = {a.members: idx for idx, a in enumerate(self.antichains)}
-        # v <= w among antichains exactly when downsets[v] <= downsets[w].
-        self.downsets = tuple(
-            frozenset(b for b in range(n) if any(leq[b][c] for c in ch))
-            for ch in chains
-        )
+        # v <= w among antichains exactly when downsets[v] is a submask of downsets[w].
+        self.downsets = tuple(downs)
         # Down-set plan, smallest first: (antichain, the down-set left when
         # one of its members is removed, that member).  -1 is the empty one.
-        parent = {frozenset(): -1, **{d: k for k, d in enumerate(self.downsets)}}
+        parent = {0: -1, **{d: k for k, d in enumerate(downs)}}
         self.plan = tuple(
-            (k, parent[self.downsets[k] - {chains[k][-1]}], chains[k][-1])
-            for k in sorted(range(len(chains)), key=lambda k: len(self.downsets[k]))
+            (k, parent[downs[k] & ~(1 << chains[k][-1])], chains[k][-1])
+            for k in sorted(range(len(chains)), key=lambda k: downs[k].bit_count())
         )
         self.exchange = tuple(
-            tuple(
-                b
-                for b in range(n)
-                if b not in down
-                and not any(leq[c][b] for c in range(n) if c != b and c not in down)
-            )
-            for down in self.downsets
+            tuple(b for b in range(n) if below[b] & ~down == 1 << b) for down in downs
         )
         # tau ids aligned with positions; None marks the projective.
         self.tau_ids = tuple(ar.tau_ids[xid] for xid in self.element_ids)
-
-    def _check_partial_order(self) -> None:
-        n = len(self.element_ids)
-        for a in range(n):
-            if not self.leq[a][a]:
-                raise InvariantViolation("hom order not reflexive")
-            for b in range(n):
-                if a != b and self.leq[a][b] and self.leq[b][a]:
-                    raise InvariantViolation("hom order not antisymmetric")
-                for c in range(n):
-                    if self.leq[a][b] and self.leq[b][c] and not self.leq[a][c]:
-                        raise InvariantViolation("hom order not transitive")
 
     def __len__(self) -> int:
         return len(self.element_ids)
 
     def pos(self, x: Indec | int) -> int:
         xid = x.id if isinstance(x, Indec) else x
-        return self._pos[xid]
+        try:
+            return self._pos[xid]
+        except KeyError:
+            raise DomainError(f"{x} is not an element of this poset") from None
 
     def leq_elements(self, a: Indec | int, b: Indec | int) -> bool:
         return self.leq[self.pos(a)][self.pos(b)]
@@ -340,7 +323,7 @@ class HomPoset:
 
     def index_of(self, v: Antichain) -> int:
         try:
-            return self._index[tuple(v.members)]
+            return self._index[tuple(sorted(v.members))]
         except KeyError:
             raise DomainError(f"{v} is not an antichain of this poset") from None
 

@@ -12,7 +12,8 @@ other quiver up front.
 
 from __future__ import annotations
 
-from operator import gt, lt, neg
+from functools import reduce
+from operator import and_, neg, or_
 from threading import Lock
 from weakref import WeakKeyDictionary
 
@@ -81,7 +82,8 @@ def antichain_score(ar: ARQuiver, m: ModuleClass, i: int, v: Antichain) -> int:
     """Net multiplicity below v: sum of mu_B(M) - mu_{tau B}(M) over B <= v."""
     p = hom_poset(ar, i)
     contrib = _contributions(p, m)
-    return sum(contrib[b] for b in p.downsets[p.index_of(v)])
+    down = p.downsets[p.index_of(v)]
+    return sum(c for b, c in enumerate(contrib) if down >> b & 1)
 
 
 def _stats(p: HomPoset, m: ModuleClass) -> tuple[int, list[int]]:
@@ -108,15 +110,15 @@ def exchange_set(p: HomPoset, v: Antichain) -> tuple[Indec, ...]:
 
 
 def _unique_extremum(p: HomPoset, candidates: list[int], maximal: bool) -> int:
-    down, beaten = p.downsets, lt if maximal else gt
-    extreme = [
-        v for v in candidates if not any(beaten(down[v], down[w]) for w in candidates)
-    ]
-    if len(extreme) != 1:
-        raise InvariantViolation(
-            f"score maximizers lack a unique {'maximal' if maximal else 'minimal'} element"
-        )
-    return extreme[0]
+    """The candidate whose down-set holds (maximal) or lies in (minimal) all the others'."""
+    down = p.downsets
+    bound = reduce(or_ if maximal else and_, [down[v] for v in candidates])
+    for v in candidates:
+        if down[v] == bound:
+            return v
+    raise InvariantViolation(
+        f"score maximizers lack a unique {'maximal' if maximal else 'minimal'} element"
+    )
 
 
 def f_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass:

@@ -11,6 +11,7 @@ from oracle import HomOracle
 from quivercrystal import (
     Antichain,
     DomainError,
+    InvariantViolation,
     ModuleClass,
     antichain_leq,
     antichain_score,
@@ -28,7 +29,7 @@ from quivercrystal import (
     zero_module,
 )
 from quivercrystal import crystal_ops
-from quivercrystal.ar_quiver import HomPoset, build_ar
+from quivercrystal.ar_quiver import ARQuiver, HomPoset, build_ar
 from quivercrystal.dynkin import all_orientations, diagram, parse_quiver
 from quivercrystal.pm_graph import build_pm
 
@@ -87,6 +88,94 @@ def test_poset_partial_order_validates_on_special_orientations():
                 continue
             for i in range(1, d.rank + 1):
                 hom_poset(ar, i)  # construction checks the poset axioms
+
+
+def _positions(mask):
+    return {b for b in range(mask.bit_length()) if mask >> b & 1}
+
+
+def test_vertex_tables_match_their_definitions():
+    """Every table of a vertex poset, recomputed from `leq` by brute force."""
+    diagrams = [diagram("A", n) for n in range(1, 7)] + [diagram("D", 4), diagram("D", 5)]
+    for q in (q for d in diagrams for q in special_orientations(d)):
+        ar = build_ar(q)
+        for i in range(1, ar.rank + 1):
+            p = hom_poset(ar, i)
+            n, leq = len(p), p.leq
+            assert n <= 12
+            assert p.covers == tuple(
+                (a, b)
+                for a in range(n)
+                for b in range(n)
+                if a != b and leq[a][b]
+                and not any(leq[a][c] and leq[c][b] for c in range(n) if c not in (a, b))
+            )
+            subsets = [[b for b in range(n) if s >> b & 1] for s in range(1, 1 << n)]
+            chains = sorted(
+                tuple(ch)
+                for ch in subsets
+                if not any(leq[a][b] for a in ch for b in ch if a != b)
+            )
+            assert [tuple(p.pos(x) for x in v.members) for v in p.antichains] == chains
+            downs = [_positions(d) for d in p.downsets]
+            assert downs == [
+                {b for b in range(n) if any(leq[b][c] for c in ch)} for ch in chains
+            ]
+            assert sorted(k for k, _, _ in p.plan) == list(range(len(chains)))
+            done = {-1}
+            for k, parent, x in p.plan:
+                assert parent in done and x in chains[k]
+                assert (downs[parent] if parent >= 0 else set()) == downs[k] - {x}
+                done.add(k)
+            for ch, down, ex in zip(chains, downs, p.exchange):
+                outside = [b for b in range(n) if b not in down]
+                assert ex == tuple(
+                    b for b in outside if not any(leq[c][b] for c in outside if c != b)
+                )
+
+
+def _poset_with_relation(monkeypatch, changes):
+    """HomPoset at vertex 2 of a fresh A3 `2->1, 2->3`, with some Hom dimensions changed.
+
+    `changes` maps (dim X, dim Y) to a fake dim Hom(X, Y); no Y is S(2), so
+    which indecomposables belong to the poset is decided by the real table.
+    """
+    ar = build_ar(parse_quiver(A3_MIDDLE))
+    real = ARQuiver.hom_dim
+
+    def hom_dim(self, x, y):
+        key = (self.indec(x).dim, self.indec(y).dim)
+        return changes[key] if key in changes else real(self, x, y)
+
+    monkeypatch.setattr(ARQuiver, "hom_dim", hom_dim)
+    return HomPoset(ar, 2)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({((1, 1, 1), (1, 1, 1)): 0}, "hom order not reflexive"),
+        ({((1, 1, 0), (0, 1, 1)): 1, ((0, 1, 1), (1, 1, 0)): 1}, "hom order not antisymmetric"),
+        ({((1, 1, 0), (0, 1, 1)): 1, ((1, 1, 1), (0, 1, 1)): 0}, "hom order not transitive"),
+    ],
+)
+def test_poset_rejects_a_hom_relation_that_is_not_an_order(monkeypatch, changes, message):
+    with pytest.raises(InvariantViolation, match=message):
+        _poset_with_relation(monkeypatch, changes)
+
+
+def test_unique_extremum_of_score_maximizers():
+    ar = ar_of(A3_MIDDLE)
+    p = hom_poset(ar, 2)
+    left, right = (p.index_of(singleton(ar, dim)) for dim in ((1, 1, 0), (0, 1, 1)))
+    for maximal in (True, False):
+        with pytest.raises(InvariantViolation, match="unique"):
+            crystal_ops._unique_extremum(p, [left, right], maximal)
+    pair = Antichain(tuple(sorted((ar.by_dim[(1, 1, 0)].id, ar.by_dim[(0, 1, 1)].id))))
+    bottom, top = (p.index_of(singleton(ar, dim)) for dim in ((1, 1, 1), (0, 1, 0)))
+    chain = [p.index_of(pair), top, left, bottom]
+    assert crystal_ops._unique_extremum(p, chain, maximal=True) == top
+    assert crystal_ops._unique_extremum(p, chain, maximal=False) == bottom
 
 
 def test_antichains_of_chain_are_singletons():
@@ -196,6 +285,24 @@ def test_exchange_sets():
         (1, 1, 0),
         (0, 1, 1),
     }
+
+
+def test_poset_lookups_take_antichains_as_sets():
+    ar = ar_of(A3_MIDDLE)
+    p = hom_poset(ar, 2)
+    a, b = sorted((ar.by_dim[(1, 1, 0)].id, ar.by_dim[(0, 1, 1)].id))
+    for v in (Antichain((a, b)), Antichain((b, a))):
+        assert antichain_score(ar, worked_class(ar), 2, v) == 2
+        assert {x.dim for x in exchange_set(p, v)} == {(0, 1, 0)}
+    with pytest.raises(DomainError):
+        exchange_set(p, Antichain((a, a)))
+    foreign = ar.by_dim[(1, 0, 0)]
+    with pytest.raises(DomainError):
+        p.pos(foreign)
+    with pytest.raises(DomainError):
+        p.leq_elements(foreign, ar.simple(2))
+    with pytest.raises(DomainError):
+        antichain_leq(p, Antichain((foreign.id,)), singleton(ar, (0, 1, 0)))
 
 
 def test_f_tilde_examples():
