@@ -13,8 +13,8 @@ from __future__ import annotations
 import heapq
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .dynkin import DimVector, Diagram, Quiver, all_orientations, positive_roots
 from .errors import DomainError, InvariantViolation, QuiverParseError
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Indec:
+class Indec(NamedTuple):
     """An indecomposable representation, identified with its dimension vector."""
 
     id: int
@@ -214,15 +213,15 @@ class ARQuiver:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Antichain:
+class Antichain(NamedTuple("Antichain", [("members", tuple[int, ...])])):
     """A nonempty set of pairwise incomparable poset elements (Indec ids)."""
 
-    members: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.members:
+    def __new__(cls, members: tuple[int, ...]):
+        if not members:
             raise DomainError("antichains are nonempty")
+        return tuple.__new__(cls, (members,))
 
 
 class HomPoset:
@@ -291,9 +290,14 @@ class HomPoset:
             (k, parent[downs[k] & ~(1 << chains[k][-1])], chains[k][-1])
             for k in sorted(range(len(chains)), key=lambda k: downs[k].bit_count())
         )
-        self.exchange = tuple(
-            tuple(b for b in range(n) if below[b] & ~down == 1 << b) for down in downs
-        )
+        # Exchange set: the minimal elements outside a down-set.  A plan step adds x
+        # to its parent, so x leaves and the upper covers of x now minimal join.
+        ups = [[b for a, b in self.covers if a == x] for x in range(n)]
+        exchange = {-1: tuple(b for b in range(n) if below[b] == 1 << b)}
+        for k, par, x in self.plan:
+            gained = [c for c in ups[x] if below[c] & ~downs[k] == 1 << c]
+            exchange[k] = tuple(sorted([b for b in exchange[par] if b != x] + gained))
+        self.exchange = tuple(exchange[k] for k in range(len(downs)))
         # tau ids aligned with positions; None marks the projective.
         self.tau_ids = tuple(ar.tau_ids[xid] for xid in self.element_ids)
 
@@ -421,15 +425,15 @@ def _check_meshes(ar: ARQuiver) -> None:
             raise InvariantViolation(f"mesh additivity fails at {z} for {ar.quiver}")
 
 
-@dataclass(frozen=True)
-class ModuleClass:
+class ModuleClass(NamedTuple("ModuleClass", [("mults", tuple[int, ...])])):
     """An isomorphism class of representations: multiplicities per Indec id."""
 
-    mults: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.mults, default=0) < 0:
-            raise DomainError(f"negative multiplicity in {self.mults}")
+    def __new__(cls, mults: tuple[int, ...]):
+        if min(mults, default=0) < 0:
+            raise DomainError(f"negative multiplicity in {mults}")
+        return tuple.__new__(cls, (mults,))
 
     def mult(self, x: Indec | int) -> int:
         return self.mults[x.id if isinstance(x, Indec) else x]

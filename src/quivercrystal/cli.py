@@ -8,16 +8,19 @@ identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import re
 import sys
 
-from . import ar_quiver, crystal_graph, crystal_ops, pm_graph
-from .ar_quiver import ModuleClass, build_ar, module_from_json, module_to_json
+# Each subcommand imports the modules it needs beyond these: crystal_ops
+# for the operators, crystal_graph for graph and check, pm_graph only on
+# the geometric route.  A cold start then compiles no unused module.
+from .ar_quiver import ModuleClass, build_ar, module_from_json, module_to_json, special_orientations
 from .dynkin import coroot_pairing, diagram, parse_quiver
 from .errors import (
+    DEFAULT_SEARCH_LIMIT,
+    DEFAULT_VERTEX_BUDGET,
     DomainError,
     QuiverCrystalError,
     QuiverParseError,
@@ -86,6 +89,7 @@ def _hom_poset_doc(ar, p):
 
 
 def _cmd_poset(args) -> int:
+    from . import crystal_ops
     ar = build_ar(parse_quiver(args.quiver))
     p = crystal_ops.hom_poset(ar, args.i)
     if args.format == "json":
@@ -106,6 +110,7 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_antichains(args) -> int:
+    from . import crystal_ops
     ar = build_ar(parse_quiver(args.quiver))
     p = crystal_ops.hom_poset(ar, args.i)
     chains = crystal_ops.antichains(p)
@@ -138,6 +143,7 @@ def _parse_ops(text: str, rank: int) -> list[tuple[str, int]]:
 
 
 def _class_stats(ar, m: ModuleClass) -> dict:
+    from . import crystal_ops
     eps = [crystal_ops.epsilon_i(ar, m, i) for i in range(1, ar.rank + 1)]
     wt = crystal_ops.weight_of(ar, m)
     return {
@@ -149,6 +155,7 @@ def _class_stats(ar, m: ModuleClass) -> dict:
 
 
 def _cmd_apply(args) -> int:
+    from . import crystal_ops
     ar = build_ar(parse_quiver(args.quiver))
     m: ModuleClass | None = _load_module(ar, args.module)
     for kind, i in _parse_ops(args.ops, ar.rank):
@@ -173,15 +180,18 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_epsilon(args) -> int:
+    from . import crystal_ops
     ar = build_ar(parse_quiver(args.quiver))
     m = _load_module(ar, args.module)
     if args.pm_dot:
+        from . import pm_graph
         g = pm_graph.build_pm(ar, crystal_ops.hom_poset(ar, args.i), m)
         print(g.to_dot(), end="")
         return 0
     eps = crystal_ops.epsilon_i(ar, m, args.i)
     doc: dict = {"i": args.i, "epsilon": eps}
     if args.oracle == "geom":
+        from . import pm_graph
         g = pm_graph.build_pm(ar, crystal_ops.hom_poset(ar, args.i), m)
         geom = pm_graph.min_epsilon(g, args.limit)
         doc["geom"] = geom
@@ -197,6 +207,7 @@ def _cmd_epsilon(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from . import crystal_graph
     ar = build_ar(parse_quiver(args.quiver))
     g = crystal_graph.generate(ar, args.depth, args.max_vertices)
     print(g.to_dot() if args.format == "dot" else g.to_json(), end="")
@@ -207,7 +218,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_special(args) -> int:
     diag = _parse_diagram(args.diagram)
-    quivers = ar_quiver.special_orientations(diag)
+    quivers = special_orientations(diag)
     if args.format == "json":
         print(_dump({"diagram": str(diag), "orientations": [q.text_spec() for q in quivers]}))
     else:
@@ -226,14 +237,18 @@ def _random_class(rng: random.Random, ar, max_mult: int, max_summands: int) -> M
 
 
 def _cmd_check(args) -> int:
+    from . import crystal_graph
     ar = build_ar(parse_quiver(args.quiver))
     g = crystal_graph.generate(ar, args.depth, args.max_vertices)
     report = crystal_graph.check_axioms(g)
-    doc: dict = {"axioms": dataclasses.asdict(report)}
+    axioms = {"ok": report.ok, "checked_edges": report.checked_edges,
+              "first_violation": report.first_violation}
+    doc: dict = {"axioms": axioms}
     if args.format == "text":
         print(f"axioms: {report}")
     failures = 0 if report.ok else 1
     if args.samples:
+        from . import crystal_ops, pm_graph
         rng = random.Random(args.seed)
         bad = 0
         for _ in range(args.samples):
@@ -299,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", required=True)
     p.add_argument("-i", type=int, required=True)
     p.add_argument("--oracle", choices=["geom"], default=None)
-    p.add_argument("--limit", type=_nonnegative, default=pm_graph.DEFAULT_SEARCH_LIMIT)
+    p.add_argument("--limit", type=_nonnegative, default=DEFAULT_SEARCH_LIMIT)
     p.add_argument("--pm-dot", action="store_true",
                    help="emit the expanded multiplicity graph as DOT instead")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -308,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="generate the crystal graph to a depth")
     p.add_argument("--quiver", required=True)
     p.add_argument("--depth", type=_nonnegative, required=True)
-    p.add_argument("--max-vertices", type=_nonnegative, default=crystal_graph.DEFAULT_VERTEX_BUDGET)
+    p.add_argument("--max-vertices", type=_nonnegative, default=DEFAULT_VERTEX_BUDGET)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(func=_cmd_graph)
 
@@ -320,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run axiom checks, exit 1 on violation")
     p.add_argument("--quiver", required=True)
     p.add_argument("--depth", type=_nonnegative, default=4)
-    p.add_argument("--max-vertices", type=_nonnegative, default=crystal_graph.DEFAULT_VERTEX_BUDGET)
+    p.add_argument("--max-vertices", type=_nonnegative, default=DEFAULT_VERTEX_BUDGET)
     p.add_argument("--samples", type=_nonnegative, default=0, help="extra randomized checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=_nonnegative, default=pm_graph.DEFAULT_SEARCH_LIMIT)
+    p.add_argument("--limit", type=_nonnegative, default=DEFAULT_SEARCH_LIMIT)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_check)
 

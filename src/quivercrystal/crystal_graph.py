@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
 
 from .ar_quiver import ARQuiver, ModuleClass, build_ar, module_to_json, zero_module
 from .crystal_ops import _lower, e_tilde, epsilon_i, f_tilde, phi_i, weight_of
 from .dynkin import DimVector, Quiver, coroot_pairing, parse_quiver, positive_roots
-from .errors import DomainError, QuiverParseError, ResourceLimitError
+from .errors import DEFAULT_VERTEX_BUDGET, DomainError, QuiverParseError, ResourceLimitError
 
 __all__ = [
     "CrystalGraph",
@@ -21,28 +20,41 @@ __all__ = [
     "graph_from_json",
 ]
 
-DEFAULT_VERTEX_BUDGET = 200_000
-
 Key = tuple[int, ...]
 
 
-@dataclass
-class VertexData:
-    level: int
-    epsilon: tuple[int, ...]
-    phi: tuple[int, ...]
-    weight: tuple[int, ...]
+class _Record:
+    """Mutable fields named in ``__slots__``; equal when the class and every field are."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class CrystalGraph:
+class VertexData(_Record):
+    __slots__ = ("level", "epsilon", "phi", "weight")
+
+    def __init__(self, level: int, epsilon: tuple[int, ...], phi: tuple[int, ...],
+                 weight: tuple[int, ...]):
+        self.level, self.epsilon, self.phi, self.weight = level, epsilon, phi, weight
+
+
+class CrystalGraph(_Record):
     """Rooted edge-labeled graph of classes reachable within `depth` steps."""
 
-    ar: ARQuiver
-    depth: int
-    vertices: dict[Key, VertexData]
-    edges: list[tuple[Key, int, Key]]
-    levels: list[list[Key]] = field(default_factory=list)
+    __slots__ = ("ar", "depth", "vertices", "edges", "levels")
+
+    def __init__(self, ar: ARQuiver, depth: int, vertices: dict[Key, VertexData],
+                 edges: list[tuple[Key, int, Key]], levels: list[list[Key]] | None = None):
+        self.ar, self.depth, self.vertices, self.edges = ar, depth, vertices, edges
+        self.levels = [] if levels is None else levels
 
     @property
     def root(self) -> Key:
@@ -163,11 +175,11 @@ def kostant_count(q: Quiver, beta: DimVector) -> int:
     return count(0, tuple(beta))
 
 
-@dataclass
-class CheckReport:
-    ok: bool
-    checked_edges: int
-    first_violation: str | None = None
+class CheckReport(_Record):
+    __slots__ = ("ok", "checked_edges", "first_violation")
+
+    def __init__(self, ok: bool, checked_edges: int, first_violation: str | None = None):
+        self.ok, self.checked_edges, self.first_violation = ok, checked_edges, first_violation
 
     def __str__(self) -> str:
         if self.ok:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, QuiverParseError
 
@@ -25,30 +26,27 @@ DimVector = tuple[int, ...]
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     """An A/D/E diagram: a tree on vertices 1..rank with the fixed labelling."""
 
     letter: str
     rank: int
     edges: tuple[tuple[int, int], ...]
-    # Sorted neighbours of each vertex, derived from the edges once.
-    _adjacency: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
-
-    def __post_init__(self):
-        adjacency = {
-            v: tuple(sorted(b if a == v else a for a, b in self.edges if v in (a, b)))
-            for v in range(1, self.rank + 1)
-        }
-        object.__setattr__(self, "_adjacency", adjacency)
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adjacency.get(v, ())
+        return _adjacency(self).get(v, ())
+
+
+@lru_cache(maxsize=None)
+def _adjacency(diag: Diagram) -> dict[int, tuple[int, ...]]:
+    """Sorted neighbours of each vertex, derived from the edges once per diagram."""
+    return {
+        v: tuple(sorted(b if a == v else a for a, b in diag.edges if v in (a, b)))
+        for v in range(1, diag.rank + 1)
+    }
 
 
 def diagram(letter: str, rank: int) -> Diagram:
@@ -73,8 +71,7 @@ def diagram(letter: str, rank: int) -> Diagram:
     return Diagram(letter, rank, tuple(sorted(tuple(sorted(e)) for e in edges)))
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     """A diagram with one orientation per edge.
 
     `arrows[k]` is the (source, target) orientation of `diagram.edges[k]`.
@@ -258,5 +255,6 @@ def coroot_pairing(q: Quiver | Diagram, i: int, w: Weight) -> int:
     diag = _diagram_of(q)
     if not 1 <= i <= diag.rank:
         raise DomainError(f"vertex {i} out of range for {diag}")
-    _check_rank(q, w)
-    return 2 * w[i - 1] - sum(w[j - 1] for j in diag.neighbors(i))
+    if len(w) != diag.rank:
+        raise DomainError(f"vector {w} does not match rank {diag.rank}")
+    return 2 * w[i - 1] - sum(w[j - 1] for j in _adjacency(diag)[i])

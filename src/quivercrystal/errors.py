@@ -2,8 +2,12 @@
 
 The CLI maps these onto process exit codes: QuiverParseError -> 2,
 DomainError -> 1, ResourceLimitError -> 3.  InvariantViolation signals a
-bug in this library, never bad user input.
+bug in this library, never bad user input.  The default resource bounds
+are defined here once, for the library and the CLI alike.
 """
+
+DEFAULT_SEARCH_LIMIT = 10_000_000  # morphism candidates, pm_graph searches
+DEFAULT_VERTEX_BUDGET = 200_000  # vertices, crystal_graph.generate
 
 
 class QuiverCrystalError(Exception):

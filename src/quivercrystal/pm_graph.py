@@ -11,12 +11,11 @@ an independent route to the crystal string statistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .ar_quiver import ARQuiver, ModuleClass, tau_inv_class
 from .crystal_ops import Antichain, HomPoset
-from .errors import DomainError, InvariantViolation, ResourceLimitError
+from .errors import DEFAULT_SEARCH_LIMIT, DomainError, InvariantViolation, ResourceLimitError
 
 __all__ = [
     "MultiplicityGraph",
@@ -33,8 +32,6 @@ __all__ = [
     "min_epsilon",
     "closure_antichain",
 ]
-
-DEFAULT_SEARCH_LIMIT = 10_000_000
 
 
 class MultiplicityGraph:
@@ -149,8 +146,7 @@ def build_pm(ar: ARQuiver, p: HomPoset, m: ModuleClass) -> MultiplicityGraph:
     return MultiplicityGraph(labels, covers, lengths, whites, reds)
 
 
-@dataclass(frozen=True)
-class AMorphism:
+class AMorphism(NamedTuple):
     """A morphism out of the red set: targets aligned with `graph.red_order`."""
 
     targets: tuple[int, ...]
