@@ -17,7 +17,7 @@ import sys
 # for the operators, crystal_graph for graph and check, pm_graph only on
 # the geometric route.  A cold start then compiles no unused module.
 from .ar_quiver import ModuleClass, build_ar, module_from_json, module_to_json, special_orientations
-from .dynkin import coroot_pairing, diagram, parse_quiver
+from .dynkin import coroot_pairings, diagram, parse_quiver
 from .errors import (
     DEFAULT_SEARCH_LIMIT,
     DEFAULT_VERTEX_BUDGET,
@@ -146,10 +146,11 @@ def _class_stats(ar, m: ModuleClass) -> dict:
     from . import crystal_ops
     eps = [crystal_ops.epsilon_i(ar, m, i) for i in range(1, ar.rank + 1)]
     wt = crystal_ops.weight_of(ar, m)
+    phi = [e + h for e, h in zip(eps, coroot_pairings(ar.quiver, wt))]
     return {
         "module": json.loads(module_to_json(ar, m)),
         "epsilon": {str(i): e for i, e in enumerate(eps, 1)},
-        "phi": {str(i): e + coroot_pairing(ar.quiver, i, wt) for i, e in enumerate(eps, 1)},
+        "phi": {str(i): x for i, x in enumerate(phi, 1)},
         "weight": list(wt),
     }
 

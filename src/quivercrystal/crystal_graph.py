@@ -6,8 +6,9 @@ import json
 from collections import defaultdict
 
 from .ar_quiver import ARQuiver, ModuleClass, build_ar, module_to_json, zero_module
-from .crystal_ops import _lower, e_tilde, epsilon_i, f_tilde, phi_i, weight_of
-from .dynkin import DimVector, Quiver, coroot_pairing, parse_quiver, positive_roots
+# e_tilde, epsilon_i, phi_i and coroot_pairing go unused here: perfbench/tracing.py patches them.
+from .crystal_ops import _score_pass, e_tilde, epsilon_i, f_tilde, phi_i, weight_of
+from .dynkin import DimVector, Quiver, coroot_pairing, coroot_pairings, parse_quiver, positive_roots
 from .errors import DEFAULT_VERTEX_BUDGET, DomainError, QuiverParseError, ResourceLimitError
 
 __all__ = [
@@ -84,16 +85,12 @@ class CrystalGraph(_Record):
 
     def to_dot(self) -> str:
         ar = self.ar
-        names = {
-            k: module_to_json(ar, ModuleClass(k))
+        names = {  # as DOT quoted strings: backslashes and double quotes escaped
+            k: module_to_json(ar, ModuleClass(k)).replace("\\", "\\\\").replace('"', '\\"')
             for k in self.vertices
         }
-        index = {
-            k: n
-            for n, k in enumerate(
-                sorted(self.vertices, key=lambda k: (self.vertices[k].level, k))
-            )
-        }
+        order = sorted(self.vertices, key=lambda k: (self.vertices[k].level, k))
+        index = {k: n for n, k in enumerate(order)}
         lines = ["digraph crystal {", "  rankdir=TB;"]
         for k, n in index.items():
             lines.append(f'  n{n} [label="{names[k]}"];')
@@ -119,24 +116,23 @@ def generate(
         nxt: list[Key] = []
         for key in levels[level]:
             m = ModuleClass(key)
-            if level == depth:
-                eps = [epsilon_i(ar, m, i) for i in range(1, n + 1)]
-            else:
-                eps = []
-                for i in range(1, n + 1):
-                    e, lowered = _lower(ar, m, i)
-                    eps.append(e)
-                    tgt = lowered.mults
-                    if tgt not in vertices:
-                        if len(vertices) >= max_vertices:
-                            raise ResourceLimitError(
-                                f"vertex budget {max_vertices} exceeded at depth {level + 1}"
-                            )
-                        vertices[tgt] = None
-                        nxt.append(tgt)
-                    edges.append((key, i, tgt))
+            eps = []
+            for i in range(1, n + 1):
+                e, lowered, _ = _score_pass(ar, m, i, f=level < depth)
+                eps.append(e)
+                if lowered is None:
+                    continue
+                tgt = lowered.mults
+                if tgt not in vertices:
+                    if len(vertices) >= max_vertices:
+                        raise ResourceLimitError(
+                            f"vertex budget {max_vertices} exceeded at depth {level + 1}"
+                        )
+                    vertices[tgt] = None
+                    nxt.append(tgt)
+                edges.append((key, i, tgt))
             wt = weight_of(ar, m)
-            phi = tuple(e + coroot_pairing(ar.quiver, i, wt) for i, e in enumerate(eps, 1))
+            phi = tuple(e + h for e, h in zip(eps, coroot_pairings(ar.quiver, wt)))
             vertices[key] = VertexData(level, tuple(eps), phi, wt)
         if level < depth:
             levels.append(sorted(nxt))
@@ -188,13 +184,15 @@ class CheckReport(_Record):
 
 
 def check_axioms(g: CrystalGraph) -> CheckReport:
-    """Re-derive every edge, vertex statistic and level (the height) from the operators.
+    """Re-derive each statistic, level (the height) and edge from one score pass per (vertex, i).
 
     Then check that the graph is complete: one i-edge for each i out of every
     vertex below `depth`, none out of level `depth`, one into every other vertex.
     """
     ar = g.ar
     n = ar.rank
+    canon = {key: key for key in g.vertices}  # so that the rows below share the graph's keys
+    moves: dict[Key, list[Key | None]] = {}  # per vertex: where f_1..f_n, then e_1..e_n lead
     for key, data in g.vertices.items():
         m = ModuleClass(key)
         wt = weight_of(ar, m)
@@ -202,12 +200,15 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
             return CheckReport(False, 0, f"stored weight wrong at {key}")
         if data.level != -sum(wt):
             return CheckReport(False, 0, f"stored level is not the height at {key}")
-        for i in range(1, n + 1):
-            phi = phi_i(ar, m, i)
-            if phi != data.phi[i - 1]:
+        moves[key] = row = [None] * (2 * n)
+        for i, pairing in enumerate(coroot_pairings(ar.quiver, wt), 1):
+            eps, lowered, raised = _score_pass(ar, m, i, f=data.level < g.depth, e=True)
+            if eps + pairing != data.phi[i - 1]:
                 return CheckReport(False, 0, f"phi_{i} identity fails at {key}")
-            if phi - coroot_pairing(ar.quiver, i, wt) != data.epsilon[i - 1]:
+            if eps != data.epsilon[i - 1]:
                 return CheckReport(False, 0, f"stored epsilon_{i} wrong at {key}")
+            row[i - 1] = lowered and canon.get(lowered.mults)
+            row[n + i - 1] = raised and canon.get(raised.mults)
     # The vertex loop has verified every stored statistic against fresh
     # operator output, so the edge checks below read the stored ones.
     # Completeness violations count only once every edge has passed them.
@@ -217,10 +218,11 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
         sd, td = g.vertices.get(src), g.vertices.get(tgt)
         if sd is None or td is None:
             return CheckReport(False, k, f"edge {k}: endpoint is not a vertex")
-        if f_tilde(ar, ModuleClass(src), i).mults != tgt:
+        # f_i out of level `depth` is derived here alone; f_tilde raises on a bad label.
+        lowered = moves[src][i - 1] if 1 <= i <= n else None
+        if (lowered or f_tilde(ar, ModuleClass(src), i).mults) != tgt:
             return CheckReport(False, k, f"edge {k}: f_{i} does not map source to target")
-        back = e_tilde(ar, ModuleClass(tgt), i)
-        if back is None or back.mults != src:
+        if moves[tgt][n + i - 1] != src:
             return CheckReport(False, k, f"edge {k}: e_{i} does not invert f_{i}")
         if td.epsilon[i - 1] != sd.epsilon[i - 1] + 1:
             return CheckReport(False, k, f"edge {k}: epsilon_{i} does not increase by 1")

@@ -123,23 +123,23 @@ def _unique_extremum(p: HomPoset, candidates: list[int], maximal: bool) -> int:
 
 def f_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass:
     """Lowering operator: swap tau of the exchange set against the maximal maximizer."""
-    return _lower(ar, m, i)[1]
-
-
-def _lower(ar: ARQuiver, m: ModuleClass, i: int) -> tuple[int, ModuleClass]:
-    """epsilon_i(m) and f_tilde(m) from one score pass."""
-    p = hom_poset(ar, i)
-    best, candidates = _stats(p, m)
-    return best, _swap(p, m, _unique_extremum(p, candidates, maximal=True), 1)
+    return _score_pass(ar, m, i, f=True)[1]
 
 
 def e_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass | None:
     """Raising operator: absent when the string statistic is zero."""
+    return _score_pass(ar, m, i, e=True)[2]
+
+
+def _score_pass(
+    ar: ARQuiver, m: ModuleClass, i: int, f: bool = False, e: bool = False
+) -> tuple[int, ModuleClass | None, ModuleClass | None]:
+    """epsilon_i(m), with f_tilde(m) if f and e_tilde(m) if e (else None), from one score pass."""
     p = hom_poset(ar, i)
     best, candidates = _stats(p, m)
-    if best == 0:
-        return None
-    return _swap(p, m, _unique_extremum(p, candidates, maximal=False), -1)
+    lowered = _swap(p, m, _unique_extremum(p, candidates, maximal=True), 1) if f else None
+    raised = _swap(p, m, _unique_extremum(p, candidates, maximal=False), -1) if e and best else None
+    return best, lowered, raised
 
 
 def _swap(p: HomPoset, m: ModuleClass, v: int, step: int) -> ModuleClass:

@@ -255,6 +255,12 @@ def coroot_pairing(q: Quiver | Diagram, i: int, w: Weight) -> int:
     diag = _diagram_of(q)
     if not 1 <= i <= diag.rank:
         raise DomainError(f"vertex {i} out of range for {diag}")
+    return coroot_pairings(diag, w)[i - 1]
+
+
+def coroot_pairings(q: Quiver | Diagram, w: Weight) -> tuple[int, ...]:
+    """<h_i, w> for every vertex i in order, checking the weight's rank once."""
+    diag = _diagram_of(q)
     if len(w) != diag.rank:
         raise DomainError(f"vector {w} does not match rank {diag.rank}")
-    return 2 * w[i - 1] - sum(w[j - 1] for j in _adjacency(diag)[i])
+    return tuple(2 * w[i - 1] - sum(w[j - 1] for j in adj) for i, adj in _adjacency(diag).items())

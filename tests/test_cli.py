@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quivercrystal import crystal_ops
+from quivercrystal import crystal_graph, crystal_ops
 from quivercrystal.cli import main
 
 
@@ -252,10 +252,23 @@ def test_check_json_reports_both_outcomes(capsys, monkeypatch):
         "axioms": {"ok": True, "checked_edges": 36, "first_violation": None},
         "samples": {"count": 5, "violations": 0, "seed": 42},
     }
-    # An off-by-one epsilon: phi_i no longer matches the stored phi, and the
-    # samples see it disagree with the geometric route.
-    epsilon_i = crystal_ops.epsilon_i
+    # An off-by-one epsilon, seen by the axioms check and the samples but not
+    # by generate: phi_i no longer matches the stored phi, and the samples see
+    # it disagree with the geometric route.
+    epsilon_i, score_pass = crystal_ops.epsilon_i, crystal_graph._score_pass
+    check_axioms = crystal_graph.check_axioms
+
+    def off_by_one(*args, **kwargs):
+        eps, lowered, raised = score_pass(*args, **kwargs)
+        return eps + 1, lowered, raised
+
+    def check_off_by_one(g):
+        with monkeypatch.context() as patch:
+            patch.setattr(crystal_graph, "_score_pass", off_by_one)
+            return check_axioms(g)
+
     monkeypatch.setattr(crystal_ops, "epsilon_i", lambda ar, m, i: epsilon_i(ar, m, i) + 1)
+    monkeypatch.setattr(crystal_graph, "check_axioms", check_off_by_one)
     code, out, _ = run_cli(capsys, *args, "--format", "json")
     doc = json.loads(out)
     assert code == 1

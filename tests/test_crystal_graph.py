@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from quivercrystal import (
     generate,
     graph_from_json,
     kostant_count,
+    module_to_json,
     parse_quiver,
 )
 from quivercrystal import crystal_graph, crystal_ops
@@ -152,14 +154,20 @@ def test_check_axioms_reports_incomplete_and_inconsistent_graphs(monkeypatch):
     for g, violation in cases:
         report = check_axioms(g)
         assert not report.ok and violation in report.first_violation, report
-    monkeypatch.setattr(crystal_graph, "e_tilde", lambda ar, m, i: None)
+    score_pass = crystal_graph._score_pass
+
+    def no_raising(*args, **kwargs):
+        eps, lowered, _ = score_pass(*args, **kwargs)
+        return eps, lowered, None
+
+    monkeypatch.setattr(crystal_graph, "_score_pass", no_raising)
     report = check_axioms(g2)
     assert not report.ok and "does not invert" in report.first_violation, report
 
 
 @pytest.mark.parametrize("spec, depth", [(A3_MIDDLE, 4), ("D4: 1->2, 2->3, 2->4", 3)])
 def test_score_pass_budget(monkeypatch, spec, depth):
-    """generate makes one score pass per (vertex, i); check_axioms adds two per edge."""
+    """generate and check_axioms each make exactly one score pass per (vertex, i)."""
     passes = []
     stats = crystal_ops._stats
     monkeypatch.setattr(crystal_ops, "_stats", lambda p, m: passes.append(1) or stats(p, m))
@@ -168,7 +176,30 @@ def test_score_pass_budget(monkeypatch, spec, depth):
     assert len(passes) == ar.rank * len(g.vertices)
     passes.clear()
     assert check_axioms(g).ok
-    assert len(passes) == ar.rank * len(g.vertices) + 2 * len(g.edges)
+    assert len(passes) == ar.rank * len(g.vertices)
+
+
+@pytest.mark.parametrize("spec, depth", [(A3_MIDDLE, 4), ("D4: 1->2, 2->3, 2->4", 3)])
+def test_check_axioms_reports_each_redirected_edge(spec, depth):
+    """Moving one edge's target to another vertex of its level is caught at that edge."""
+    g = generate(ar_of(spec), depth)
+
+    def check_with(edges):
+        return check_axioms(CrystalGraph(g.ar, depth, g.vertices, edges, g.levels))
+
+    for k, (src, i, tgt) in enumerate(g.edges):
+        level = g.levels[g.vertices[tgt].level]
+        assert len(level) > 1
+        other = level[(level.index(tgt) + 1) % len(level)]
+        report = check_with(g.edges[:k] + [(src, i, other)] + g.edges[k + 1:])
+        assert not report.ok and report.checked_edges == k, report
+        assert report.first_violation == f"edge {k}: f_{i} does not map source to target"
+    # An edge out of level `depth`, whose f_i image lies outside the graph.
+    src, other = g.levels[depth][:2]
+    k = len(g.edges)
+    report = check_with(g.edges + [(src, 2, other)])
+    assert not report.ok and report.checked_edges == k, report
+    assert report.first_violation == f"edge {k}: f_2 does not map source to target"
 
 
 def test_compare_same_quiver():
@@ -201,6 +232,21 @@ def test_dot_output():
     dot = g.to_dot()
     assert dot.count('label="1"') == 2
     assert len([l for l in dot.splitlines() if "->" in l]) == 2
+
+
+def test_dot_labels_are_well_formed_quoted_strings():
+    ar = ar_of(A2)
+    g = generate(ar, 2)
+    lines = [line for line in g.to_dot().splitlines() if "label=" in line]
+    assert len(lines) == len(g.vertices) + len(g.edges)
+    quoted = re.compile(r'  n\d+( -> n\d+)? \[label="((?:[^"\\]|\\.)*)"\];')
+    names = set()
+    for line in lines:
+        match = quoted.fullmatch(line)
+        assert match, line
+        if match[1] is None:
+            names.add(re.sub(r"\\(.)", r"\1", match[2]))
+    assert names == {module_to_json(ar, ModuleClass(k)) for k in g.vertices}
 
 
 def test_json_round_trip_byte_identical():

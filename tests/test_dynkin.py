@@ -136,6 +136,24 @@ def test_coroot_pairing_examples():
     assert coroot_pairing(diagram("A", 3), 2, (-1, -1, -1)) == 0
 
 
+def test_coroot_pairings_are_the_cartan_matrix_applied_to_the_weight():
+    rng = random.Random(7)
+    for d in (diagram("A", 4), diagram("D", 5), diagram("E", 6), diagram("E", 8)):
+        c = cartan_matrix(d)
+        for _ in range(20):
+            w = tuple(rng.randrange(-4, 5) for _ in range(d.rank))
+            expected = tuple(sum(a * x for a, x in zip(row, w)) for row in c)
+            assert dynkin.coroot_pairings(d, w) == expected
+            assert [coroot_pairing(d, i, w) for i in range(1, d.rank + 1)] == list(expected)
+    a2 = diagram("A", 2)
+    with pytest.raises(DomainError, match="does not match rank 2"):
+        dynkin.coroot_pairings(a2, (0, 0, 0))
+    with pytest.raises(DomainError, match="does not match rank 2"):
+        coroot_pairing(a2, 1, (0,))
+    with pytest.raises(DomainError, match="vertex 3 out of range"):
+        coroot_pairing(a2, 3, (0, 0, 0))
+
+
 def test_symmetrization_identity_random_pairs():
     rng = random.Random(20260809)
     for d in (diagram("A", 4), diagram("D", 4), diagram("D", 5), diagram("E", 6)):
