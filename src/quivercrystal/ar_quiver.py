@@ -98,8 +98,9 @@ class ARQuiver:
         self.by_dim = {x.dim: x for x in indecs}
         # dim_columns[j][x] is the j-th coordinate of dim X.
         self.dim_columns = tuple(zip(*(x.dim for x in indecs)))
-        # key_names[x] is dim X as the module wire format writes it ("1,1,0").
-        self.key_names = tuple(",".join(map(str, x.dim)) for x in indecs)
+        # key_ids: module JSON's name of dim X ("1,1,0") -> id; json_fields: ('"1,1,0":', id).
+        self.key_ids = {",".join(map(str, x.dim)): x.id for x in indecs}
+        self.json_fields = tuple((f'"{name}":', x) for name, x in sorted(self.key_ids.items()))
         self._proj = {x.projective_vertex: x for x in indecs if x.is_projective}
         self._inj = {x.injective_vertex: x for x in indecs if x.is_injective}
         self._hom = self._hom_table()
@@ -298,8 +299,9 @@ class HomPoset:
             gained = [c for c in ups[x] if below[c] & ~downs[k] == 1 << c]
             exchange[k] = tuple(sorted([b for b in exchange[par] if b != x] + gained))
         self.exchange = tuple(exchange[k] for k in range(len(downs)))
-        # tau ids aligned with positions; None marks the projective.
+        # tau ids by position, None on the projective; support: the ids a pass reads or writes.
         self.tau_ids = tuple(ar.tau_ids[xid] for xid in self.element_ids)
+        self.support = tuple(sorted({*self.element_ids, *self.tau_ids} - {None}))
 
     def __len__(self) -> int:
         return len(self.element_ids)
@@ -461,7 +463,16 @@ def module_from_dim_dict(ar: ARQuiver, counts: dict[DimVector, int]) -> ModuleCl
 
 
 def module_from_json(ar: ARQuiver, text: str) -> ModuleClass:
-    """Parse the `{"1,1,1":2,"1,0,0":1}` wire format."""
+    """Parse the `{"1,1,1":2,"1,0,0":1}` wire format; module_to_json's spelling skips json.loads."""
+    if isinstance(text, str) and text[:2] == '{"' and text[-1:] == "}":
+        mults, prev = [0] * len(ar), ""
+        for name, _, val in (field.partition('":') for field in text[2:-1].split(',"')):
+            if not (name > prev and name in ar.key_ids and val.isdigit() and val.isascii()
+                    and val[0] != "0" and len(val) <= 18):
+                break
+            mults[ar.key_ids[name]], prev = int(val), name
+        else:
+            return ModuleClass(tuple(mults))
     try:
         obj = json.loads(text)
     except (RecursionError, ValueError) as exc:  # ValueError: JSONDecodeError, over-long ints
@@ -483,8 +494,8 @@ def module_from_json(ar: ARQuiver, text: str) -> ModuleClass:
 
 
 def module_to_json(ar: ARQuiver, m: ModuleClass) -> str:
-    obj = {name: k for name, k in zip(ar.key_names, m.mults) if k}
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    mults = m.mults  # written as json.dumps(..., sort_keys=True, separators=(",", ":")) would
+    return "{" + ",".join([f"{field}{mults[x]}" for field, x in ar.json_fields if mults[x]]) + "}"
 
 
 def tau_inv_class(ar: ARQuiver, m: ModuleClass) -> ModuleClass:

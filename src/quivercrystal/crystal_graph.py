@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from operator import add, itemgetter, sub
 
 from .ar_quiver import ARQuiver, ModuleClass, build_ar, module_to_json, zero_module
 # e_tilde, epsilon_i, phi_i and coroot_pairing go unused here: perfbench/tracing.py patches them.
-from .crystal_ops import _score_pass, e_tilde, epsilon_i, f_tilde, phi_i, weight_of
+from .crystal_ops import _score_pass, e_tilde, epsilon_i, f_tilde, hom_poset, phi_i, weight_of
 from .dynkin import DimVector, Quiver, coroot_pairing, coroot_pairings, parse_quiver, positive_roots
 from .errors import DEFAULT_VERTEX_BUDGET, DomainError, QuiverParseError, ResourceLimitError
 
@@ -100,13 +101,32 @@ class CrystalGraph(_Record):
         return "\n".join(lines) + "\n"
 
 
+def _passes_by_support(ar: ARQuiver, e: bool):
+    """(m, i, f) -> epsilon_i(m) and the keys of f_tilde(m) if f and e_tilde(m) if e, or None."""
+    # A pass at i reads and a swap writes only hom_poset(ar, i).support; the rest stays nonnegative.
+    # So answers and InvariantViolations depend on (i, key on support, f) alone: one pass each.
+    restrict, seen = {}, {}  # i -> itemgetter, made on first use; triple -> eps and key changes
+
+    def passes(m: ModuleClass, i: int, f: bool) -> tuple[int, Key | None, Key | None]:
+        get = restrict.get(i) or restrict.setdefault(i, itemgetter(*hom_poset(ar, i).support))
+        key, local = m.mults, (i, get(m.mults), f)
+        if local not in seen:
+            eps, *moved = _score_pass(ar, m, i, f=f, e=e)
+            seen[local] = eps, *[c and tuple(map(sub, c.mults, key)) for c in moved]
+        eps, df, de = seen[local]
+        return eps, df and tuple(map(add, key, df)), de and tuple(map(add, key, de))
+
+    return passes
+
+
 def generate(
     ar: ARQuiver, depth: int, max_vertices: int = DEFAULT_VERTEX_BUDGET
 ) -> CrystalGraph:
-    """Apply every lowering operator breadth-first from the zero class."""
+    """Lower breadth-first from zero, one score pass per distinct support restriction per call."""
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     n = ar.rank
+    passes = _passes_by_support(ar, e=False)
     root = zero_module(ar).mults
     # Keys in discovery order; each one's data is filled in when it is expanded.
     vertices: dict[Key, VertexData | None] = {root: None}
@@ -118,11 +138,10 @@ def generate(
             m = ModuleClass(key)
             eps = []
             for i in range(1, n + 1):
-                e, lowered, _ = _score_pass(ar, m, i, f=level < depth)
+                e, tgt, _ = passes(m, i, level < depth)
                 eps.append(e)
-                if lowered is None:
+                if tgt is None:
                     continue
-                tgt = lowered.mults
                 if tgt not in vertices:
                     if len(vertices) >= max_vertices:
                         raise ResourceLimitError(
@@ -184,13 +203,13 @@ class CheckReport(_Record):
 
 
 def check_axioms(g: CrystalGraph) -> CheckReport:
-    """Re-derive each statistic, level (the height) and edge from one score pass per (vertex, i).
-
-    Then check that the graph is complete: one i-edge for each i out of every
-    vertex below `depth`, none out of level `depth`, one into every other vertex.
+    """Re-derive each statistic, level (the height) and edge: one score pass per distinct support
+    restriction per call.  Then check that the graph is complete: one i-edge for each i out of
+    every vertex below `depth`, none out of level `depth`, one into every other vertex.
     """
     ar = g.ar
     n = ar.rank
+    passes = _passes_by_support(ar, e=True)
     canon = {key: key for key in g.vertices}  # so that the rows below share the graph's keys
     moves: dict[Key, list[Key | None]] = {}  # per vertex: where f_1..f_n, then e_1..e_n lead
     for key, data in g.vertices.items():
@@ -202,13 +221,13 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
             return CheckReport(False, 0, f"stored level is not the height at {key}")
         moves[key] = row = [None] * (2 * n)
         for i, pairing in enumerate(coroot_pairings(ar.quiver, wt), 1):
-            eps, lowered, raised = _score_pass(ar, m, i, f=data.level < g.depth, e=True)
+            eps, lowered, raised = passes(m, i, data.level < g.depth)
             if eps + pairing != data.phi[i - 1]:
                 return CheckReport(False, 0, f"phi_{i} identity fails at {key}")
             if eps != data.epsilon[i - 1]:
                 return CheckReport(False, 0, f"stored epsilon_{i} wrong at {key}")
-            row[i - 1] = lowered and canon.get(lowered.mults)
-            row[n + i - 1] = raised and canon.get(raised.mults)
+            row[i - 1] = lowered and canon.get(lowered)
+            row[n + i - 1] = raised and canon.get(raised)
     # The vertex loop has verified every stored statistic against fresh
     # operator output, so the edge checks below read the stored ones.
     # Completeness violations count only once every edge has passed them.

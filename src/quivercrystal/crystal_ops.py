@@ -134,7 +134,7 @@ def e_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass | None:
 def _score_pass(
     ar: ARQuiver, m: ModuleClass, i: int, f: bool = False, e: bool = False
 ) -> tuple[int, ModuleClass | None, ModuleClass | None]:
-    """epsilon_i(m), with f_tilde(m) if f and e_tilde(m) if e (else None), from one score pass."""
+    """epsilon_i(m), f_tilde(m) if f, e_tilde(m) if e (else None); reads m on the support only."""
     p = hom_poset(ar, i)
     best, candidates = _stats(p, m)
     lowered = _swap(p, m, _unique_extremum(p, candidates, maximal=True), 1) if f else None
@@ -154,7 +154,7 @@ def _swap(p: HomPoset, m: ModuleClass, v: int, step: int) -> ModuleClass:
         mults[xid] += step
     if min(mults) < 0:
         raise InvariantViolation("swapped-out summand missing from the class")
-    return ModuleClass(tuple(mults))
+    return ModuleClass._make((tuple(mults),))  # _make skips __new__'s second scan
 
 
 def weight_of(ar: ARQuiver, m: ModuleClass) -> Weight:

@@ -167,16 +167,25 @@ def test_check_axioms_reports_incomplete_and_inconsistent_graphs(monkeypatch):
 
 @pytest.mark.parametrize("spec, depth", [(A3_MIDDLE, 4), ("D4: 1->2, 2->3, 2->4", 3)])
 def test_score_pass_budget(monkeypatch, spec, depth):
-    """generate and check_axioms each make exactly one score pass per (vertex, i)."""
+    """generate and check_axioms each make exactly one score pass per distinct
+    (i, class restricted to the vertex-i elements and their tau translates, f-flag)."""
+    distinct = {A3_MIDDLE: 80, "D4: 1->2, 2->3, 2->4": 86}[spec]
     passes = []
     stats = crystal_ops._stats
     monkeypatch.setattr(crystal_ops, "_stats", lambda p, m: passes.append(1) or stats(p, m))
     ar = ar_of(spec)
     g = generate(ar, depth)
-    assert len(passes) == ar.rank * len(g.vertices)
+    triples = set()
+    for i in range(1, ar.rank + 1):
+        p = crystal_ops.hom_poset(ar, i)
+        ids = sorted({*p.element_ids, *(t for t in p.tau_ids if t is not None)})
+        for key, data in g.vertices.items():
+            triples.add((i, tuple(key[x] for x in ids), data.level < depth))
+    assert len(triples) == distinct < ar.rank * len(g.vertices)
+    assert len(passes) == distinct
     passes.clear()
     assert check_axioms(g).ok
-    assert len(passes) == ar.rank * len(g.vertices)
+    assert len(passes) == distinct
 
 
 @pytest.mark.parametrize("spec, depth", [(A3_MIDDLE, 4), ("D4: 1->2, 2->3, 2->4", 3)])
