@@ -245,7 +245,8 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
             return CheckReport(False, k, f"edge {k}: e_{i} does not invert f_{i}")
         if td.epsilon[i - 1] != sd.epsilon[i - 1] + 1:
             return CheckReport(False, k, f"edge {k}: epsilon_{i} does not increase by 1")
-        if td.weight != tuple(w - (j == i) for j, w in enumerate(sd.weight, 1)):
+        sw, tw = sd.weight, td.weight  # both verified above: rank entries, and 1 <= i <= rank
+        if tw[i - 1] != sw[i - 1] - 1 or tw[i:] != sw[i:] or tw[:i - 1] != sw[:i - 1]:
             return CheckReport(False, k, f"edge {k}: weight does not drop by alpha_{i}")
         labels = out_labels[src]
         if sd.level == g.depth:

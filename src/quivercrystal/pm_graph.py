@@ -7,10 +7,21 @@ node.  White nodes mark summands of M, red nodes summands of tau^{-1}M
 (a node may be both).  Morphisms send red nodes upward, injectively off
 the sink; the minimum number of unmatched whites over all morphisms is
 an independent route to the crystal string statistic.
+
+What depends on the poset alone is built once per (labels, covers) and
+kept in a bounded cache (`_SKELETONS` entries): the label positions, the
+upper covers of each label, the linear-extension and sink checks, and
+the graph with every chain of length 1.  A graph whose chains all have
+length 1 shares that graph's `succ` and `reach` tuples (immutable, as
+are their members) and copies its `first`, `last` and `_names`, so no
+two graphs share a mutable container; only the colors are its own.  Any
+other graph lays its chains out by offsets in one sweep from the top
+label down, reading the upper covers from the cache.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, NamedTuple
 
 from .ar_quiver import ARQuiver, ModuleClass, tau_inv_class
@@ -49,63 +60,46 @@ class MultiplicityGraph:
         white_counts: dict,
         red_counts: dict,
     ):
-        self.labels = tuple(labels)
-        pos_of = {lab: k for k, lab in enumerate(self.labels)}
-        for a, b in covers:
-            if pos_of[a] >= pos_of[b]:
-                raise DomainError("labels are not in a linear extension of the covers")
-        self._names: list[tuple] = []
-        self.first: dict = {}
-        self.last: dict = {}
-        for lab in self.labels:
-            length = max(1, int(lengths.get(lab, 1)))
-            self.first[lab] = len(self._names)
-            for p in range(1, length + 1):
-                self._names.append((lab, p))
-            self.last[lab] = len(self._names) - 1
-        self.sink = len(self._names)
-        self._names.append(("inf", 0))
-        n = len(self._names)
-
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for lab in self.labels:
-            for u in range(self.first[lab], self.last[lab]):
-                succ[u].append(u + 1)
-        for a, b in covers:
-            succ[self.last[a]].append(self.first[b])
-        has_out = {a for a, _ in covers}
-        for lab in self.labels:
-            if lab not in has_out:
-                succ[self.last[lab]].append(self.sink)
-        self.succ = tuple(tuple(sorted(s)) for s in succ)
-
-        whites, reds = set(), set()
-        for lab in self.labels:
-            if max(white_counts.get(lab, 0), red_counts.get(lab, 0)) > lengths.get(lab, 1):
+        self.labels = labels = tuple(labels)
+        if type(covers) is not tuple:
+            covers = tuple(map(tuple, covers))
+        pos, heads, unit_names, unit_succ, unit_reach = _skeleton(labels, covers)
+        get_len, get_white, get_red = lengths.get, white_counts.get, red_counts.get
+        firsts: list[int] = []
+        whites: list[int] = []
+        reds: list[int] = []
+        top = 0
+        for lab in labels:
+            length = get_len(lab, 1)
+            w = get_white(lab, 0)
+            r = get_red(lab, 0)
+            if w > length or r > length:
                 raise DomainError(f"color counts exceed chain length at {lab}")
-            for p in range(int(white_counts.get(lab, 0))):
-                whites.add(self.first[lab] + p)
-            for p in range(int(red_counts.get(lab, 0))):
-                reds.add(self.first[lab] + p)
-        self.white = frozenset(whites)
+            firsts.append(top)
+            if w:
+                whites.extend(range(top, top + int(w)))
+            if r:
+                reds.extend(range(top, top + int(r)))
+            top += int(length) if length > 1 else 1
+        if top == len(labels):
+            # Unit chains: the skeleton is this graph before coloring.
+            self._names = list(unit_names)
+            self.first = dict(pos)
+            self.last = dict(pos)
+            self.succ, self.reach = unit_succ, unit_reach
+        else:
+            firsts.append(top)
+            self._names, self.first, self.last, self.succ, self.reach = _expand(
+                labels, heads, firsts
+            )
+        self.sink = top
+        self.white = white = frozenset(whites)
         self.red = frozenset(reds)
-        self.red_order = tuple(sorted(self.red))
-
-        # succ only points to larger indices, so one sweep each way suffices.
-        up: list[set[int]] = [set() for _ in range(n)]
-        for u in range(n - 1, -1, -1):
-            s = {u}
-            for v in self.succ[u]:
-                s |= up[v]
-            up[u] = s
-        self.reach = tuple(frozenset(s) for s in up)
-
-        if any(self.sink not in r for r in self.reach):
-            raise InvariantViolation("sink not reachable from every node")
-
-        self._white_targets = {
-            r: tuple(sorted(self.reach[r] & self.white)) for r in self.red_order
-        }
+        # Chains are numbered in label order, so reds came out ascending.
+        self.red_order = red_order = tuple(reds)
+        targets = self._white_targets = {}
+        for r in red_order:
+            targets[r] = tuple(sorted(self.reach[r] & white))
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -119,6 +113,8 @@ class MultiplicityGraph:
         for u in range(len(self._names)):
             lab, p = self._names[u]
             name = "inf" if u == self.sink else f"{lab}({p})"
+            # as a DOT quoted string: backslashes and double quotes escaped
+            name = name.replace("\\", "\\\\").replace('"', '\\"')
             if u in self.white and u in self.red:
                 style = 'style=wedged, fillcolor="red:white"'
             elif u in self.red:
@@ -135,14 +131,93 @@ class MultiplicityGraph:
         return "\n".join(lines) + "\n"
 
 
+_SKELETONS = 256  # distinct (labels, covers) kept; one per AR quiver and vertex in practice
+
+
+@functools.lru_cache(maxsize=_SKELETONS)
+def _skeleton(labels: tuple, covers: tuple):
+    """What a multiplicity graph takes from its poset alone, checked once.
+
+    Returns the position of each label (with unit chains also its first
+    and last node), the sorted positions covering each position, and the
+    unit-chain graph's `_names`, `succ` and `reach`.
+    """
+    pos = {lab: k for k, lab in enumerate(labels)}
+    heads: list[list[int]] = [[] for _ in labels]
+    for a, b in covers:
+        if pos[a] >= pos[b]:
+            raise DomainError("labels are not in a linear extension of the covers")
+        heads[pos[a]].append(pos[b])
+    if len(pos) < len(labels):
+        # A repeated label's earlier chain has no first or last node to hang covers on.
+        raise InvariantViolation("sink not reachable from every node")
+    heads_t = tuple(tuple(sorted(h)) for h in heads)
+    names, _, _, succ, reach = _expand(labels, heads_t, list(range(len(labels) + 1)))
+    return pos, heads_t, tuple(names), succ, reach
+
+
+def _expand(labels: tuple, heads: tuple, firsts: list[int]):
+    """Nodes, first and last nodes, successors and reach of the chain-expanded graph.
+
+    Label k's chain runs from node firsts[k] to firsts[k + 1] - 1; the last
+    entry of `firsts` is the sink.  One sweep from the top label down: a
+    chain's last node reaches the chains over it (or the sink), and each
+    node below it in the chain reaches what the node above it does.
+    """
+    sink = firsts[-1]
+    n = sink + 1
+    names: list = [None] * n
+    succ: list = [None] * n
+    reach: list = [None] * n
+    lasts = [0] * len(labels)
+    names[sink] = ("inf", 0)
+    succ[sink] = ()
+    reach[sink] = frozenset((sink,))
+    for k in range(len(labels) - 1, -1, -1):
+        lab = labels[k]
+        first = firsts[k]
+        u = lasts[k] = firsts[k + 1] - 1
+        hs = heads[k]
+        if hs:
+            out = []
+            up = {u}
+            for h in hs:
+                v = firsts[h]
+                out.append(v)
+                up |= reach[v]
+            succ[u] = tuple(out)
+        else:
+            succ[u] = (sink,)
+            up = {u, sink}
+        r = frozenset(up)
+        names[u] = (lab, u - first + 1)
+        reach[u] = r
+        while u > first:
+            u -= 1
+            names[u] = (lab, u - first + 1)
+            succ[u] = (u + 1,)
+            reach[u] = r = r | {u}
+    if any(sink not in r for r in reach):
+        raise InvariantViolation("sink not reachable from every node")
+    return names, dict(zip(labels, firsts)), dict(zip(labels, lasts)), tuple(succ), tuple(reach)
+
+
 def build_pm(ar: ARQuiver, p: HomPoset, m: ModuleClass) -> MultiplicityGraph:
     """Expand the vertex-i poset by the multiplicities of M and tau^{-1}M."""
     tm = tau_inv_class(ar, m)
     labels = p.element_ids
     covers = tuple((labels[a], labels[b]) for a, b in p.covers)
-    lengths = {xid: max(1, m.mults[xid], tm.mults[xid]) for xid in labels}
-    whites = {xid: m.mults[xid] for xid in labels}
-    reds = {xid: tm.mults[xid] for xid in labels}
+    # The graph reads a missing count as 0 and a missing length as 1.
+    lengths, whites, reds = {}, {}, {}
+    for xid in labels:
+        w = m.mults[xid]
+        r = tm.mults[xid]
+        if w:
+            whites[xid] = w
+        if r:
+            reds[xid] = r
+        if w > 1 or r > 1:
+            lengths[xid] = max(w, r)
     return MultiplicityGraph(labels, covers, lengths, whites, reds)
 
 

@@ -7,6 +7,7 @@ from conftest import A3_MIDDLE, ar_of
 from quivercrystal import (
     AMorphism,
     DomainError,
+    InvariantViolation,
     MultiplicityGraph,
     ResourceLimitError,
     build_pm,
@@ -352,3 +353,135 @@ def test_graph_is_not_written_after_construction():
 def test_labels_must_extend_covers():
     with pytest.raises(DomainError):
         MultiplicityGraph(("b", "a"), (("a", "b"),), {}, {}, {})
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    g = MultiplicityGraph(('a"b', "c\\d"), (('a"b', "c\\d"),), {}, {"c\\d": 1}, {'a"b': 1})
+    dot = g.to_dot()
+    assert 'n0 [label="a\\"b(1)", style=filled, fillcolor=red];' in dot
+    assert 'n1 [label="c\\\\d(1)", style=filled, fillcolor=white];' in dot
+    assert 'label="a"b(1)"' not in dot
+
+
+def _by_definition(labels, covers, lengths, whites, reds):
+    """Every attribute of the graph rebuilt from the chain, cover and sink rules."""
+    top = {lab: max(1, lengths.get(lab, 1)) for lab in labels}
+    names = [(lab, p) for lab in labels for p in range(1, top[lab] + 1)] + [("inf", 0)]
+    at = {name: u for u, name in enumerate(names)}
+    sink = len(names) - 1
+    succ = [[] for _ in names]
+    for lab, p in names[:-1]:
+        if p < top[lab]:
+            succ[at[lab, p]].append(at[lab, p + 1])
+    for a, b in covers:
+        succ[at[a, top[a]]].append(at[b, 1])
+    for lab in labels:
+        if all(a != lab for a, _ in covers):
+            succ[at[lab, top[lab]]].append(sink)
+    reach = []
+    for u in range(len(names)):
+        seen, stack = {u}, [u]
+        while stack:
+            for v in succ[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        reach.append(frozenset(seen))
+    white = frozenset(at[lab, p] for lab in labels for p in range(1, whites.get(lab, 0) + 1))
+    red = frozenset(at[lab, p] for lab in labels for p in range(1, reds.get(lab, 0) + 1))
+    return {
+        "labels": tuple(labels),
+        "_names": names,
+        "first": {lab: at[lab, 1] for lab in labels},
+        "last": {lab: at[lab, top[lab]] for lab in labels},
+        "sink": sink,
+        "succ": tuple(tuple(sorted(s)) for s in succ),
+        "reach": tuple(reach),
+        "white": white,
+        "red": red,
+        "red_order": tuple(sorted(red)),
+        "_white_targets": {r: tuple(sorted(reach[r] & white)) for r in sorted(red)},
+    }
+
+
+def _assert_matches_definition(g, *inputs):
+    want = _by_definition(*inputs)
+    assert vars(g).keys() == want.keys()
+    for name, value in want.items():
+        assert getattr(g, name) == value, name
+
+
+@pytest.mark.parametrize("kind,rank", [("D", 5), ("E", 6)])
+def test_graph_matches_its_definition(kind, rank):
+    from quivercrystal import ModuleClass, special_orientations
+    from quivercrystal.ar_quiver import build_ar, tau_inv_class
+    from quivercrystal.dynkin import diagram
+
+    rng = random.Random(rank)
+    seen_unit = seen_longer = 0
+    for q in special_orientations(diagram(kind, rank)):
+        ar = build_ar(q)
+        for i in range(1, rank + 1):
+            p = hom_poset(ar, i)
+            labels = p.element_ids
+            covers = tuple((labels[a], labels[b]) for a, b in p.covers)
+            for top in (1, 1, 2, 3):
+                m = ModuleClass(tuple(rng.choice((0, 0, top)) for _ in range(len(ar))))
+                tm = tau_inv_class(ar, m)
+                lengths = {x: max(1, m.mults[x], tm.mults[x]) for x in labels}
+                whites = {x: m.mults[x] for x in labels}
+                reds = {x: tm.mults[x] for x in labels}
+                g = build_pm(ar, p, m)
+                _assert_matches_definition(g, labels, covers, lengths, whites, reds)
+                if g.sink == len(labels):
+                    seen_unit += 1
+                else:
+                    seen_longer += 1
+    assert seen_unit and seen_longer
+
+
+def test_five_chain_graph_matches_its_definition():
+    g = five_chain_graph()
+    _assert_matches_definition(
+        g,
+        ("B1", "B2", "B3", "B4", "B5"),
+        (("B1", "B3"), ("B1", "B4"), ("B2", "B4"), ("B2", "B5")),
+        {"B1": 1, "B2": 1, "B3": 2, "B4": 2, "B5": 1},
+        {"B3": 2, "B4": 2, "B5": 1},
+        {"B1": 1, "B2": 1},
+    )
+
+
+def test_bad_input_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(DomainError, match="linear extension"):
+            MultiplicityGraph(("b", "a"), (("a", "b"),), {}, {}, {})
+    for _ in range(2):
+        with pytest.raises(DomainError, match="exceed chain length at a"):
+            MultiplicityGraph(("a", "b"), (("a", "b"),), {}, {"a": 2}, {})
+        with pytest.raises(DomainError, match="exceed chain length at b"):
+            MultiplicityGraph(("a", "b"), (("a", "b"),), {"a": 2}, {}, {"b": 2})
+        with pytest.raises(InvariantViolation, match="sink not reachable"):
+            MultiplicityGraph(("a", "a"), (), {}, {}, {})
+
+
+def test_covers_may_be_a_list_of_pairs():
+    g = MultiplicityGraph(("a", "b", "c"), [["a", "b"], ("a", "c")], {"b": 2}, {"b": 2}, {"a": 1})
+    h = MultiplicityGraph(("a", "b", "c"), (("a", "b"), ("a", "c")), {"b": 2}, {"b": 2}, {"a": 1})
+    assert vars(g) == vars(h)
+
+
+def test_graphs_of_one_poset_share_no_mutable_attribute():
+    ar = ar_of(A3_MIDDLE)
+    p = hom_poset(ar, 2)
+    pairs = [
+        (zero_module(ar), module_from_dim_dict(ar, {(0, 1, 0): 1})),  # unit chains
+        (module_from_dim_dict(ar, {(0, 1, 0): 2}), worked_graph()[1]),  # longer chains
+    ]
+    for m1, m2 in pairs:
+        g1 = build_pm(ar, p, m1)
+        before = copy.deepcopy(vars(g1))
+        g2 = build_pm(ar, p, m2)
+        assert vars(g1) == before
+        for name in ("first", "last", "_names"):
+            assert getattr(g1, name) is not getattr(g2, name), name
