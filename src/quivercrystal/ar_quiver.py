@@ -500,7 +500,8 @@ def module_to_json(ar: ARQuiver, m: ModuleClass) -> str:
 
 def tau_inv_class(ar: ARQuiver, m: ModuleClass) -> ModuleClass:
     """Class of tau^{-1}M: mu_B(tau^{-1}M) = mu_{tau B}(M); injectives drop out."""
-    return ModuleClass(tuple(0 if t is None else m.mults[t] for t in ar.tau_ids))
+    mults = m.mults  # every entry is one of m's or 0, so nothing to re-check
+    return ModuleClass._make((tuple([0 if t is None else mults[t] for t in ar.tau_ids]),))
 
 
 def thick_vertices(ar: ARQuiver | Diagram) -> frozenset[int]:

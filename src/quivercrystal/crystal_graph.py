@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from json.encoder import encode_basestring_ascii as encode
 from operator import add, itemgetter, sub
 
 from .ar_quiver import ARQuiver, ModuleClass, build_ar, module_to_json, zero_module
 # e_tilde, epsilon_i, phi_i and coroot_pairing go unused here: perfbench/tracing.py patches them.
 from .crystal_ops import _score_pass, e_tilde, epsilon_i, f_tilde, hom_poset, phi_i, weight_of
-from .dynkin import DimVector, Quiver, coroot_pairing, coroot_pairings, parse_quiver, positive_roots
+from .dynkin import DimVector, Quiver, cartan_matrix, coroot_pairing, coroot_pairings
+from .dynkin import Weight, parse_quiver, positive_roots
 from .errors import DEFAULT_VERTEX_BUDGET, DomainError, QuiverParseError, ResourceLimitError
 
 __all__ = [
@@ -63,26 +65,27 @@ class CrystalGraph(_Record):
         return self.levels[0][0]
 
     def to_json(self) -> str:
+        """The document json.dumps(doc, sort_keys=True, separators=(",", ":")) would write.
+
+        Levels, labels and statistics must be ints, as generate and graph_from_json make them.
+        """
         ar = self.ar
         names = {k: module_to_json(ar, ModuleClass(k)) for k in self.vertices}
+        quoted = {name: encode(name) for name in names.values()}
         verts = [
-            {
-                "key": names[k],
-                "level": d.level,
-                "epsilon": list(d.epsilon),
-                "phi": list(d.phi),
-                "weight": list(d.weight),
-            }
+            f'{{"epsilon":[{",".join(map(str, d.epsilon))}],"key":{quoted[names[k]]},'
+            f'"level":{d.level},"phi":[{",".join(map(str, d.phi))}],'
+            f'"weight":[{",".join(map(str, d.weight))}]}}'
             for k, d in sorted(self.vertices.items(), key=lambda kv: (kv[1].level, kv[0]))
         ]
-        edges = sorted([names[s], i, names[t]] for s, i, t in self.edges)
-        doc = {
-            "quiver": ar.quiver.text_spec(),
-            "depth": self.depth,
-            "vertices": verts,
-            "edges": edges,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        edges = [  # sorted by the names themselves, as json.dumps saw them
+            f"[{quoted[s]},{i},{quoted[t]}]"
+            for s, i, t in sorted([(names[s], i, names[t]) for s, i, t in self.edges])
+        ]
+        return (
+            f'{{"depth":{self.depth},"edges":[{",".join(edges)}],'
+            f'"quiver":{encode(ar.quiver.text_spec())},"vertices":[{",".join(verts)}]}}'
+        )
 
     def to_dot(self) -> str:
         ar = self.ar
@@ -102,18 +105,23 @@ class CrystalGraph(_Record):
 
 
 def _passes_by_support(ar: ARQuiver, e: bool):
-    """(m, i, f) -> epsilon_i(m) and the keys of f_tilde(m) if f and e_tilde(m) if e, or None."""
+    """(key, i, f) -> epsilon_i and the keys of f_tilde if f and e_tilde if e, or None."""
     # A pass at i reads and a swap writes only hom_poset(ar, i).support; the rest stays nonnegative.
     # So answers and InvariantViolations depend on (i, key on support, f) alone: one pass each.
-    restrict, seen = {}, {}  # i -> itemgetter, made on first use; triple -> eps and key changes
+    # Callers pass valid keys only, so a miss builds its class without re-checking it.
+    memos = [[None] * (ar.rank + 1) for _ in range(2)]  # [f][i]: (support getter, memo dict)
 
-    def passes(m: ModuleClass, i: int, f: bool) -> tuple[int, Key | None, Key | None]:
-        get = restrict.get(i) or restrict.setdefault(i, itemgetter(*hom_poset(ar, i).support))
-        key, local = m.mults, (i, get(m.mults), f)
-        if local not in seen:
-            eps, *moved = _score_pass(ar, m, i, f=f, e=e)
-            seen[local] = eps, *[c and tuple(map(sub, c.mults, key)) for c in moved]
-        eps, df, de = seen[local]
+    def passes(key: Key, i: int, f: bool) -> tuple[int, Key | None, Key | None]:
+        memo = memos[f][i]
+        if memo is None:
+            memo = memos[f][i] = itemgetter(*hom_poset(ar, i).support), {}
+        get, seen = memo
+        local = get(key)
+        hit = seen.get(local)
+        if hit is None:
+            eps, *moved = _score_pass(ar, ModuleClass._make((key,)), i, f=f, e=e)
+            hit = seen[local] = eps, *[c and tuple(map(sub, c.mults, key)) for c in moved]
+        eps, df, de = hit
         return eps, df and tuple(map(add, key, df)), de and tuple(map(add, key, de))
 
     return passes
@@ -127,18 +135,20 @@ def generate(
         raise DomainError("depth must be nonnegative")
     n = ar.rank
     passes = _passes_by_support(ar, e=False)
-    root = zero_module(ar).mults
-    # Keys in discovery order; each one's data is filled in when it is expanded.
-    vertices: dict[Key, VertexData | None] = {root: None}
+    columns = [None, *zip(*cartan_matrix(ar.quiver))]
+    root, zero = zero_module(ar).mults, (0,) * n
+    # Keys in discovery order, each holding (weight, pairings) until it is expanded: f_i lowers
+    # the weight by alpha_i, so the discovering edge gives them (check_axioms re-derives weights).
+    vertices: dict[Key, VertexData | tuple[Weight, Weight]] = {root: (zero, zero)}
     levels: list[list[Key]] = [[root]]
     edges: list[tuple[Key, int, Key]] = []
     for level in range(depth + 1):
         nxt: list[Key] = []
         for key in levels[level]:
-            m = ModuleClass(key)
+            wt, pairings = vertices[key]
             eps = []
             for i in range(1, n + 1):
-                e, tgt, _ = passes(m, i, level < depth)
+                e, tgt, _ = passes(key, i, level < depth)
                 eps.append(e)
                 if tgt is None:
                     continue
@@ -147,12 +157,12 @@ def generate(
                         raise ResourceLimitError(
                             f"vertex budget {max_vertices} exceeded at depth {level + 1}"
                         )
-                    vertices[tgt] = None
+                    vertices[tgt] = ((*wt[:i - 1], wt[i - 1] - 1, *wt[i:]),
+                                     tuple(map(sub, pairings, columns[i])))
                     nxt.append(tgt)
                 edges.append((key, i, tgt))
-            wt = weight_of(ar, m)
-            phi = tuple(e + h for e, h in zip(eps, coroot_pairings(ar.quiver, wt)))
-            vertices[key] = VertexData(level, tuple(eps), phi, wt)
+            eps = tuple(eps)
+            vertices[key] = VertexData(level, eps, tuple(map(add, eps, pairings)), wt)
         if level < depth:
             levels.append(sorted(nxt))
     return CrystalGraph(ar, depth, vertices, edges, levels)
@@ -221,7 +231,7 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
             return CheckReport(False, 0, f"stored level is not the height at {key}")
         moves[key] = row = [None] * (2 * n)
         for i, pairing in enumerate(coroot_pairings(ar.quiver, wt), 1):
-            eps, lowered, raised = passes(m, i, data.level < g.depth)
+            eps, lowered, raised = passes(key, i, data.level < g.depth)
             if eps + pairing != data.phi[i - 1]:
                 return CheckReport(False, 0, f"phi_{i} identity fails at {key}")
             if eps != data.epsilon[i - 1]:

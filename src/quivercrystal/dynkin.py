@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, QuiverParseError
@@ -179,6 +180,7 @@ def _diagram_of(q: Quiver | Diagram) -> Diagram:
     return q.diagram if isinstance(q, Quiver) else q
 
 
+@lru_cache(maxsize=None)
 def cartan_matrix(q: Quiver | Diagram) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix: 2 on the diagonal, -1 exactly on diagram edges."""
     diag = _diagram_of(q)
@@ -263,4 +265,4 @@ def coroot_pairings(q: Quiver | Diagram, w: Weight) -> tuple[int, ...]:
     diag = _diagram_of(q)
     if len(w) != diag.rank:
         raise DomainError(f"vector {w} does not match rank {diag.rank}")
-    return tuple(2 * w[i - 1] - sum(w[j - 1] for j in adj) for i, adj in _adjacency(diag).items())
+    return tuple([sum(map(mul, row, w)) for row in cartan_matrix(diag)])

@@ -48,8 +48,8 @@ __all__ = [
 class MultiplicityGraph:
     """The expanded graph: chain nodes per label, a sink, and the two color sets.
 
-    Nodes are integers.  Labels must be listed in a linear extension of
-    the cover relation.  Nothing is written to the graph after `__init__`.
+    Nodes are integers.  Labels must be distinct and listed in a linear
+    extension of the cover relation.  Nothing is written to the graph after `__init__`.
     """
 
     def __init__(
@@ -143,14 +143,14 @@ def _skeleton(labels: tuple, covers: tuple):
     unit-chain graph's `_names`, `succ` and `reach`.
     """
     pos = {lab: k for k, lab in enumerate(labels)}
+    if len(pos) < len(labels):
+        repeated = next(lab for k, lab in enumerate(labels) if pos[lab] != k)
+        raise DomainError(f"label {repeated!r} is repeated")
     heads: list[list[int]] = [[] for _ in labels]
     for a, b in covers:
         if pos[a] >= pos[b]:
             raise DomainError("labels are not in a linear extension of the covers")
         heads[pos[a]].append(pos[b])
-    if len(pos) < len(labels):
-        # A repeated label's earlier chain has no first or last node to hang covers on.
-        raise InvariantViolation("sink not reachable from every node")
     heads_t = tuple(tuple(sorted(h)) for h in heads)
     names, _, _, succ, reach = _expand(labels, heads_t, list(range(len(labels) + 1)))
     return pos, heads_t, tuple(names), succ, reach

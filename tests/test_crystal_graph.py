@@ -16,8 +16,11 @@ from quivercrystal import (
     kostant_count,
     module_to_json,
     parse_quiver,
+    special_orientations,
 )
 from quivercrystal import crystal_graph, crystal_ops
+from quivercrystal.crystal_graph import VertexData
+from quivercrystal.dynkin import diagram
 from quivercrystal.errors import QuiverParseError, ResourceLimitError
 
 
@@ -266,6 +269,80 @@ def test_json_round_trip_byte_identical():
     assert again.to_json() == text
     assert again.vertices.keys() == g.vertices.keys()
     assert generate(ar_of(A3_MIDDLE), 3).to_json() == text
+
+
+def _json_dumps_export(g):
+    """The export document, written by json.dumps."""
+    ar = g.ar
+    names = {k: module_to_json(ar, ModuleClass(k)) for k in g.vertices}
+    verts = [
+        {
+            "key": names[k],
+            "level": d.level,
+            "epsilon": list(d.epsilon),
+            "phi": list(d.phi),
+            "weight": list(d.weight),
+        }
+        for k, d in sorted(g.vertices.items(), key=lambda kv: (kv[1].level, kv[0]))
+    ]
+    edges = sorted([names[s], i, names[t]] for s, i, t in g.edges)
+    doc = {"quiver": ar.quiver.text_spec(), "depth": g.depth, "vertices": verts, "edges": edges}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _assert_written_and_read_back(g):
+    text = g.to_json()
+    assert text == _json_dumps_export(g)
+    again = graph_from_json(text)
+    assert again.depth == g.depth and again.vertices == g.vertices
+    assert sorted(again.edges) == sorted(g.edges)
+    assert again.to_json() == text
+
+
+WRITER_CASES = [("A1:", d) for d in range(4)] + [
+    (q.text_spec(), 3)
+    for t, n in (("A", 2), ("A", 3), ("A", 4), ("D", 4), ("E", 6))
+    for q in special_orientations(diagram(t, n))
+]
+
+
+@pytest.mark.parametrize("spec, depth", WRITER_CASES)
+def test_export_is_json_dumps_of_the_document(spec, depth):
+    g = generate(ar_of(spec), depth)
+    assert bool(g.edges) == (depth > 0)
+    _assert_written_and_read_back(g)
+
+
+def test_export_of_a_hand_built_graph_with_negative_and_long_entries():
+    ar = ar_of(A2)
+    root, a, b = (0, 0, 0), (12, 0, 3), (0, 107, 0)
+    vertices = {
+        b: VertexData(2, (-1, 10), (-12, 345), (-107, -107)),
+        root: VertexData(0, (0, 0), (0, 0), (0, 0)),
+        a: VertexData(1, (-30, 7), (99, -1000), (-15, -3)),
+    }
+    edges = [(a, 2, b), (root, 1, a), (root, 2, b), (root, 1, b), (a, 2, b)]
+    _assert_written_and_read_back(CrystalGraph(ar, 2, vertices, edges, [[root], [a], [b]]))
+
+
+def test_check_axioms_rederives_the_weights_generate_takes_from_edges(monkeypatch):
+    """generate stores a target's weight as its source's minus alpha_i; a wrong f_i shows there."""
+    ar = ar_of("D4: 1->2, 2->3, 2->4")
+    root = generate(ar, 0).root
+    score_pass = crystal_graph._score_pass
+
+    def extra_summand(ar, m, i, f=False, e=False):
+        eps, lowered, raised = score_pass(ar, m, i, f=f, e=e)
+        if lowered is not None and m.mults == root and i == 2:
+            lowered = ModuleClass((lowered.mults[0] + 1, *lowered.mults[1:]))
+        return eps, lowered, raised
+
+    monkeypatch.setattr(crystal_graph, "_score_pass", extra_summand)
+    g = generate(ar, 3)
+    target = next(t for s, i, t in g.edges if s == root and i == 2)
+    assert target == extra_summand(ar, ModuleClass(root), 2, f=True)[1].mults
+    report = check_axioms(g)
+    assert not report.ok and report.first_violation == f"stored weight wrong at {target}", report
 
 
 def test_graph_from_json_rejects_malformed_documents():

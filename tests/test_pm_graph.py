@@ -7,7 +7,6 @@ from conftest import A3_MIDDLE, ar_of
 from quivercrystal import (
     AMorphism,
     DomainError,
-    InvariantViolation,
     MultiplicityGraph,
     ResourceLimitError,
     build_pm,
@@ -461,7 +460,7 @@ def test_bad_input_raises_on_every_call():
             MultiplicityGraph(("a", "b"), (("a", "b"),), {}, {"a": 2}, {})
         with pytest.raises(DomainError, match="exceed chain length at b"):
             MultiplicityGraph(("a", "b"), (("a", "b"),), {"a": 2}, {}, {"b": 2})
-        with pytest.raises(InvariantViolation, match="sink not reachable"):
+        with pytest.raises(DomainError, match="label 'a' is repeated"):
             MultiplicityGraph(("a", "a"), (), {}, {}, {})
 
 
