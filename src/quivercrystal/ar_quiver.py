@@ -98,9 +98,10 @@ class ARQuiver:
         self.by_dim = {x.dim: x for x in indecs}
         # dim_columns[j][x] is the j-th coordinate of dim X.
         self.dim_columns = tuple(zip(*(x.dim for x in indecs)))
-        # key_ids: module JSON's name of dim X ("1,1,0") -> id; json_fields: ('"1,1,0":', id).
-        self.key_ids = {",".join(map(str, x.dim)): x.id for x in indecs}
-        self.json_fields = tuple((f'"{name}":', x) for name, x in sorted(self.key_ids.items()))
+        # json_fields: ('"1,1,0":', id) in sort order; json_names: "1,1,0" -> (that position, id).
+        names = sorted((",".join(map(str, x.dim)), x.id) for x in indecs)
+        self.json_fields = tuple((f'"{name}":', x) for name, x in names)
+        self.json_names = {name: (pos, x) for pos, (name, x) in enumerate(names)}
         self._proj = {x.projective_vertex: x for x in indecs if x.is_projective}
         self._inj = {x.injective_vertex: x for x in indecs if x.is_injective}
         self._hom = self._hom_table()
@@ -462,17 +463,32 @@ def module_from_dim_dict(ar: ARQuiver, counts: dict[DimVector, int]) -> ModuleCl
     return ModuleClass(tuple(mults))
 
 
+def _read_canonical(ar: ARQuiver, text: str, seen: dict) -> tuple[int, ...] | None:
+    """The multiplicities if text is module_to_json's spelling of a class, else None.  seen
+    memoizes each validated field ('1,1,0":2' -> (sort position, id, value)) across calls."""
+    if not (isinstance(text, str) and text[:2] == '{"' and text[-1:] == "}"):
+        return None
+    mults, prev = [0] * len(ar), -1
+    for field in text[2:-1].split(',"'):
+        hit = seen.get(field)
+        if hit is None:
+            name, _, val = field.partition('":')
+            at = ar.json_names.get(name)
+            if not (at and val.isdigit() and val.isascii() and val[0] != "0" and len(val) <= 18):
+                return None
+            hit = seen[field] = (*at, int(val))
+        pos, x, k = hit
+        if pos <= prev:  # sorted names, each once
+            return None
+        mults[x], prev = k, pos
+    return tuple(mults)
+
+
 def module_from_json(ar: ARQuiver, text: str) -> ModuleClass:
     """Parse the `{"1,1,1":2,"1,0,0":1}` wire format; module_to_json's spelling skips json.loads."""
-    if isinstance(text, str) and text[:2] == '{"' and text[-1:] == "}":
-        mults, prev = [0] * len(ar), ""
-        for name, _, val in (field.partition('":') for field in text[2:-1].split(',"')):
-            if not (name > prev and name in ar.key_ids and val.isdigit() and val.isascii()
-                    and val[0] != "0" and len(val) <= 18):
-                break
-            mults[ar.key_ids[name]], prev = int(val), name
-        else:
-            return ModuleClass(tuple(mults))
+    mults = _read_canonical(ar, text, {})
+    if mults is not None:
+        return ModuleClass._make((mults,))
     try:
         obj = json.loads(text)
     except (RecursionError, ValueError) as exc:  # ValueError: JSONDecodeError, over-long ints

@@ -7,7 +7,7 @@ from collections import defaultdict
 from json.encoder import encode_basestring_ascii as encode
 from operator import add, itemgetter, sub
 
-from .ar_quiver import ARQuiver, ModuleClass, build_ar, module_to_json, zero_module
+from .ar_quiver import ARQuiver, ModuleClass, _read_canonical, build_ar, module_to_json, zero_module
 # e_tilde, epsilon_i, phi_i and coroot_pairing go unused here: perfbench/tracing.py patches them.
 from .crystal_ops import _score_pass, e_tilde, epsilon_i, f_tilde, hom_poset, phi_i, weight_of
 from .dynkin import DimVector, Quiver, cartan_matrix, coroot_pairing, coroot_pairings
@@ -70,7 +70,7 @@ class CrystalGraph(_Record):
         Levels, labels and statistics must be ints, as generate and graph_from_json make them.
         """
         ar = self.ar
-        names = {k: module_to_json(ar, ModuleClass(k)) for k in self.vertices}
+        names = {k: module_to_json(ar, ModuleClass._make((k,))) for k in self.vertices}
         quoted = {name: encode(name) for name in names.values()}
         verts = [
             f'{{"epsilon":[{",".join(map(str, d.epsilon))}],"key":{quoted[names[k]]},'
@@ -90,7 +90,7 @@ class CrystalGraph(_Record):
     def to_dot(self) -> str:
         ar = self.ar
         names = {  # as DOT quoted strings: backslashes and double quotes escaped
-            k: module_to_json(ar, ModuleClass(k)).replace("\\", "\\\\").replace('"', '\\"')
+            k: module_to_json(ar, ModuleClass._make((k,))).replace("\\", "\\\\").replace('"', '\\"')
             for k in self.vertices
         }
         order = sorted(self.vertices, key=lambda k: (self.vertices[k].level, k))
@@ -105,7 +105,7 @@ class CrystalGraph(_Record):
 
 
 def _passes_by_support(ar: ARQuiver, e: bool):
-    """(key, i, f) -> epsilon_i and the keys of f_tilde if f and e_tilde if e, or None."""
+    """(key, i, f) -> epsilon_i, f_tilde(key) - key if f, key - e_tilde(key) if e (else None)."""
     # A pass at i reads and a swap writes only hom_poset(ar, i).support; the rest stays nonnegative.
     # So answers and InvariantViolations depend on (i, key on support, f) alone: one pass each.
     # Callers pass valid keys only, so a miss builds its class without re-checking it.
@@ -119,10 +119,10 @@ def _passes_by_support(ar: ARQuiver, e: bool):
         local = get(key)
         hit = seen.get(local)
         if hit is None:
-            eps, *moved = _score_pass(ar, ModuleClass._make((key,)), i, f=f, e=e)
-            hit = seen[local] = eps, *[c and tuple(map(sub, c.mults, key)) for c in moved]
-        eps, df, de = hit
-        return eps, df and tuple(map(add, key, df)), de and tuple(map(add, key, de))
+            eps, lowered, raised = _score_pass(ar, ModuleClass._make((key,)), i, f=f, e=e)
+            hit = seen[local] = (eps, lowered and tuple(map(sub, lowered.mults, key)),
+                                 raised and tuple(map(sub, key, raised.mults)))
+        return hit
 
     return passes
 
@@ -148,10 +148,11 @@ def generate(
             wt, pairings = vertices[key]
             eps = []
             for i in range(1, n + 1):
-                e, tgt, _ = passes(key, i, level < depth)
+                e, step, _ = passes(key, i, level < depth)
                 eps.append(e)
-                if tgt is None:
+                if step is None:
                     continue
+                tgt = tuple(map(add, key, step))
                 if tgt not in vertices:
                     if len(vertices) >= max_vertices:
                         raise ResourceLimitError(
@@ -220,43 +221,42 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
     ar = g.ar
     n = ar.rank
     passes = _passes_by_support(ar, e=True)
-    canon = {key: key for key in g.vertices}  # so that the rows below share the graph's keys
-    moves: dict[Key, list[Key | None]] = {}  # per vertex: where f_1..f_n, then e_1..e_n lead
+    # Per vertex: f_1..f_n's changes, then e_1..e_n's negated (key - e_i key); memo hits share them.
+    moves: dict[Key, list[Key | None]] = {}
     for key, data in g.vertices.items():
-        m = ModuleClass(key)
-        wt = weight_of(ar, m)
+        wt = weight_of(ar, ModuleClass(key))
         if wt != data.weight:
             return CheckReport(False, 0, f"stored weight wrong at {key}")
         if data.level != -sum(wt):
             return CheckReport(False, 0, f"stored level is not the height at {key}")
         moves[key] = row = [None] * (2 * n)
         for i, pairing in enumerate(coroot_pairings(ar.quiver, wt), 1):
-            eps, lowered, raised = passes(key, i, data.level < g.depth)
+            eps, row[i - 1], row[n + i - 1] = passes(key, i, data.level < g.depth)
             if eps + pairing != data.phi[i - 1]:
                 return CheckReport(False, 0, f"phi_{i} identity fails at {key}")
             if eps != data.epsilon[i - 1]:
                 return CheckReport(False, 0, f"stored epsilon_{i} wrong at {key}")
-            row[i - 1] = lowered and canon.get(lowered)
-            row[n + i - 1] = raised and canon.get(raised)
     # The vertex loop has verified every stored statistic against fresh
     # operator output, so the edge checks below read the stored ones.
     # Completeness violations count only once every edge has passed them.
+    alphas = [None, *(tuple(int(i == j) for j in range(n)) for i in range(n))]  # simple roots
     out_labels: defaultdict[Key, set[int]] = defaultdict(set)
     pending: list[CheckReport] = []
     for k, (src, i, tgt) in enumerate(g.edges):
         sd, td = g.vertices.get(src), g.vertices.get(tgt)
         if sd is None or td is None:
             return CheckReport(False, k, f"edge {k}: endpoint is not a vertex")
+        step = tuple(map(sub, tgt, src))
         # f_i out of level `depth` is derived here alone; f_tilde raises on a bad label.
-        lowered = moves[src][i - 1] if 1 <= i <= n else None
-        if (lowered or f_tilde(ar, ModuleClass(src), i).mults) != tgt:
+        df = moves[src][i - 1] if 1 <= i <= n else None
+        if (df or tuple(map(sub, f_tilde(ar, ModuleClass(src), i).mults, src))) != step:
             return CheckReport(False, k, f"edge {k}: f_{i} does not map source to target")
-        if moves[tgt][n + i - 1] != src:
+        if moves[tgt][n + i - 1] != step:
             return CheckReport(False, k, f"edge {k}: e_{i} does not invert f_{i}")
         if td.epsilon[i - 1] != sd.epsilon[i - 1] + 1:
             return CheckReport(False, k, f"edge {k}: epsilon_{i} does not increase by 1")
-        sw, tw = sd.weight, td.weight  # both verified above: rank entries, and 1 <= i <= rank
-        if tw[i - 1] != sw[i - 1] - 1 or tw[i:] != sw[i:] or tw[:i - 1] != sw[:i - 1]:
+        # Both weights verified above: rank entries, and 1 <= i <= rank.
+        if tuple(map(sub, sd.weight, td.weight)) != alphas[i]:
             return CheckReport(False, k, f"edge {k}: weight does not drop by alpha_{i}")
         labels = out_labels[src]
         if sd.level == g.depth:
@@ -322,13 +322,15 @@ def graph_from_json(text: str) -> CrystalGraph:
     """
     from .ar_quiver import module_from_json
 
-    # Each distinct key string is parsed and validated once per call.
+    # Each distinct key string is parsed and validated once per call, each canonical field once.
     parsed: dict[str, Key] = {}
+    fields: dict[str, tuple[int, int, int]] = {}
 
     def key_of(name: str) -> Key:
         key = parsed.get(name)
         if key is None:
-            key = parsed[name] = module_from_json(ar, name).mults
+            key = _read_canonical(ar, name, fields) or module_from_json(ar, name).mults
+            parsed[name] = key
         return key
 
     def ints(v: dict, field: str) -> tuple[int, ...]:
@@ -353,14 +355,14 @@ def graph_from_json(text: str) -> CrystalGraph:
             level = v["level"]
             if type(level) is not int or not 0 <= level <= depth:
                 raise QuiverParseError(f"vertex level {level!r} outside 0..{depth}")
-            vertices[key] = VertexData(
-                level,
-                ints(v, "epsilon"),
-                ints(v, "phi"),
-                ints(v, "weight"),
-            )
+            stats = eps, phi, wt = v.get("epsilon"), v.get("phi"), v.get("weight")
+            if not (list is type(eps) is type(phi) is type(wt) and len(eps) == len(phi)
+                    == len(wt) == n and {*map(type, eps + phi + wt)} == {int}):
+                stats = ints(v, "epsilon"), ints(v, "phi"), ints(v, "weight")  # raises
+            vertices[key] = VertexData(level, *map(tuple, stats))
             levels[level].append(key)
-        edges = [(key_of(s), i, key_of(t)) for s, i, t in doc["edges"]]
+        edges = [(parsed.get(s) or key_of(s), i, parsed.get(t) or key_of(t))
+                 for s, i, t in doc["edges"]]
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise QuiverParseError(f"bad graph JSON: {exc!r}") from exc
     for s, i, t in edges:

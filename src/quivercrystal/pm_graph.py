@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, NamedTuple
 
+# tau_inv_class goes unused here: perfbench/tracing.py patches it.
 from .ar_quiver import ARQuiver, ModuleClass, tau_inv_class
 from .crystal_ops import Antichain, HomPoset
 from .errors import DEFAULT_SEARCH_LIMIT, DomainError, InvariantViolation, ResourceLimitError
@@ -204,14 +205,14 @@ def _expand(labels: tuple, heads: tuple, firsts: list[int]):
 
 def build_pm(ar: ARQuiver, p: HomPoset, m: ModuleClass) -> MultiplicityGraph:
     """Expand the vertex-i poset by the multiplicities of M and tau^{-1}M."""
-    tm = tau_inv_class(ar, m)
+    mults, tau_ids = m.mults, ar.tau_ids
     labels = p.element_ids
     covers = tuple((labels[a], labels[b]) for a, b in p.covers)
     # The graph reads a missing count as 0 and a missing length as 1.
     lengths, whites, reds = {}, {}, {}
-    for xid in labels:
-        w = m.mults[xid]
-        r = tm.mults[xid]
+    for xid in labels:  # mu_B(tau^{-1}M) = mu_{tau B}(M), and 0 on projective B
+        w = mults[xid]
+        r = 0 if tau_ids[xid] is None else mults[tau_ids[xid]]
         if w:
             whites[xid] = w
         if r:

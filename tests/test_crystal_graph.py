@@ -411,3 +411,48 @@ def test_epsilon_increment_along_edges():
         assert g.vertices[t].weight == tuple(
             w - (1 if j == i - 1 else 0) for j, w in enumerate(g.vertices[s].weight)
         )
+
+
+def _off_support(ar, i):
+    support = crystal_ops.hom_poset(ar, i).support
+    return [x for x in range(len(ar)) if x not in support]
+
+
+@pytest.mark.parametrize("spec, depth", [(A3_MIDDLE, 4), ("D4: 1->2, 2->3, 2->4", 3)])
+def test_check_axioms_catches_a_wrong_e_tilde_beside_a_right_f_tilde(monkeypatch, spec, depth):
+    """e_i gains a summand away from the vertex-i support: the first i-edge fails its inverse."""
+    ar = ar_of(spec)
+    g = generate(ar, depth)
+    j, x = next((i, xs[0]) for i in range(1, ar.rank + 1) if (xs := _off_support(ar, i)))
+    score_pass = crystal_graph._score_pass
+
+    def wrong_e(ar, m, i, f=False, e=False):
+        eps, lowered, raised = score_pass(ar, m, i, f=f, e=e)
+        if raised is not None and i == j:
+            raised = ModuleClass(tuple(k + (y == x) for y, k in enumerate(raised.mults)))
+        return eps, lowered, raised
+
+    monkeypatch.setattr(crystal_graph, "_score_pass", wrong_e)
+    k = next(k for k, (_, i, _) in enumerate(g.edges) if i == j)
+    report = check_axioms(g)
+    assert not report.ok and report.checked_edges == k, report
+    assert report.first_violation == f"edge {k}: e_{j} does not invert f_{j}"
+
+
+@pytest.mark.parametrize("spec, depth", [(A3_MIDDLE, 4), ("D4: 1->2, 2->3, 2->4", 3)])
+def test_check_axioms_compares_whole_targets_not_their_support(spec, depth):
+    """A target that differs from f_i(source) only away from the vertex-i support is caught."""
+    ar = ar_of(spec)
+    g = generate(ar, depth)
+    found = 0
+    for k, (src, i, tgt) in enumerate(g.edges):
+        for x in _off_support(ar, i):
+            other = tuple(m + (y == x) for y, m in enumerate(tgt))
+            if other not in g.vertices:
+                continue
+            edges = g.edges[:k] + [(src, i, other)] + g.edges[k + 1:]
+            report = check_axioms(CrystalGraph(ar, depth, g.vertices, edges, g.levels))
+            assert not report.ok and report.checked_edges == k, report
+            assert report.first_violation == f"edge {k}: f_{i} does not map source to target"
+            found += 1
+    assert found > 10

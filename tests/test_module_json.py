@@ -12,11 +12,15 @@ from quivercrystal import (
     ModuleClass,
     QuiverParseError,
     build_ar,
+    generate,
+    graph_from_json,
     module_from_dim_dict,
     module_from_json,
     module_to_json,
     special_orientations,
 )
+from quivercrystal import ar_quiver, crystal_graph
+from quivercrystal.ar_quiver import _read_canonical
 from quivercrystal.dynkin import diagram
 
 DIAGRAMS = [("A", n) for n in range(1, 7)] + [("D", n) for n in (4, 5, 6)]
@@ -144,3 +148,69 @@ def test_module_from_json_matches_the_plain_parser_on_seeded_edits():
         else:
             text = text[:k] + rng.choice(alphabet) + text[k + 1:]
         assert _outcome(module_from_json, ar, text) == _outcome(_json_loads_reference, ar, text)
+
+
+# Spellings the shared reader must leave to json.loads, beside NON_CANONICAL's.
+MORE_SPELLINGS = [
+    '{"1,0,0":+1}', '{"1,0,0":1,"1,0,0":1}', '{"1,1,0":1,"1,0,0":1}', '{"1,0,0":0001}',
+    '{"1,0,0":1' + "0" * 18 + "}", '{"1,0,0":1,"1,1,1":' + "9" * 19 + "}",
+    '{"1,0,0":1,"1,1,0":1,"1,1,0":1}', '{"1,0,0":1, "1,1,0":1}', '{"0,0,0":1}',
+    '{"1,0,0":1,"1,0,0,0":1}', '{"1,0,0":1,}', '{"1,0,0":1,"}', '{"1,0,0":"1","1,1,0":1}',
+    "{}", "",
+]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL + MORE_SPELLINGS, ids=lambda t: repr(t[:40]))
+def test_shared_reader_takes_only_the_canonical_spelling(text):
+    """_read_canonical gives json.loads' class or None, with a fresh memo or one warmed by every
+    field of every other spelling; module_from_json still matches the plain parser."""
+    ar = ar_of(A3_MIDDLE)
+    expected = _outcome(_json_loads_reference, ar, text)
+    assert _outcome(module_from_json, ar, text) == expected
+    warm = {}
+    for other in NON_CANONICAL + MORE_SPELLINGS + [module_to_json(ar, ModuleClass((1,) * 6))]:
+        _read_canonical(ar, other, warm)
+    for seen in ({}, warm):
+        mults = _read_canonical(ar, text, seen)
+        assert mults is None or ("ok", ModuleClass(mults)) == expected
+
+
+@pytest.mark.parametrize("value", [b'{"1,0,0":1}', 5, None, ["x"], ("{", "}")])
+def test_shared_reader_refuses_non_strings(value):
+    assert _read_canonical(ar_of(A3_MIDDLE), value, {}) is None
+
+
+def _graph_outcome(text):
+    try:
+        g = graph_from_json(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return "ok", g.vertices, g.edges, g.levels
+
+
+@pytest.mark.parametrize(
+    "spelling", NON_CANONICAL + MORE_SPELLINGS + [5, None, ["x"]], ids=lambda t: repr(t)[:40]
+)
+def test_graph_from_json_decodes_keys_as_the_plain_parser(monkeypatch, spelling):
+    """One level-1 key respelled: the graph, or the exception, is what graph_from_json gives when
+    every key goes through json.loads."""
+    ar = ar_of(A3_MIDDLE)
+    doc = json.loads(generate(ar, 2).to_json())
+    old = next(v["key"] for v in reversed(doc["vertices"]) if v["level"] == 1)
+    for v in doc["vertices"]:
+        v["key"] = spelling if v["key"] == old else v["key"]
+    doc["edges"] = [[spelling if x == old else x for x in edge] for edge in doc["edges"]]
+    text = json.dumps(doc)
+    got = _graph_outcome(text)
+    monkeypatch.setattr(crystal_graph, "_read_canonical", lambda ar, text, seen: None)
+    monkeypatch.setattr(ar_quiver, "module_from_json", _json_loads_reference)
+    assert got == _graph_outcome(text)
+
+
+def test_graph_from_json_reads_its_export_as_the_plain_parser_does(monkeypatch):
+    ar = ar_of("D4: 1->2, 2->3, 2->4")
+    text = generate(ar, 6).to_json()
+    got = _graph_outcome(text)
+    monkeypatch.setattr(crystal_graph, "_read_canonical", lambda ar, text, seen: None)
+    monkeypatch.setattr(ar_quiver, "module_from_json", _json_loads_reference)
+    assert got == _graph_outcome(text) and got[0] == "ok"

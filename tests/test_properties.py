@@ -2,10 +2,12 @@
 crystal graphs of depth at most 3 and command lines from a small grammar.
 
 Classes and graphs are drawn on every special orientation of A3, A4 and
-D4; the settings are derandomized so the suite stays deterministic.
+D4, and module JSON also on D4 and E6 with entries of up to 26 digits;
+the settings are derandomized so the suite stays deterministic.
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -28,12 +30,14 @@ from quivercrystal import (
     graph_from_json,
     hom_poset,
     min_epsilon,
+    module_from_dim_dict,
     module_from_json,
     module_to_json,
     special_orientations,
     weight_of,
 )
 from quivercrystal import cli, crystal_ops
+from quivercrystal.ar_quiver import _read_canonical
 from quivercrystal.dynkin import diagram
 
 POOL = tuple(
@@ -97,6 +101,32 @@ def test_lowering_is_inverted_by_raising(case):
 def test_module_json_round_trip(case):
     ar, m, _ = case
     assert module_from_json(ar, module_to_json(ar, m)) == m
+
+
+WIDE_POOL = tuple(
+    build_ar(q) for t, n in (("D", 4), ("E", 6)) for q in special_orientations(diagram(t, n))
+)
+
+
+@st.composite
+def wide_class(draw):
+    """An AR quiver of D4 or E6 and a class with entries of up to 26 digits."""
+    ar = draw(st.sampled_from(WIDE_POOL))
+    value = st.one_of(st.integers(0, 3), st.integers(0, 10**18 - 1), st.integers(0, 10**25))
+    mults = draw(st.lists(value, min_size=len(ar), max_size=len(ar)))
+    return ar, ModuleClass(tuple(k if draw(st.booleans()) else 0 for k in mults))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(wide_class())
+def test_module_json_round_trip_through_the_shared_reader(case):
+    ar, m = case
+    text = module_to_json(ar, m)
+    counts = {tuple(map(int, name.split(","))): k for name, k in json.loads(text).items()}
+    assert module_from_json(ar, text) == m == module_from_dim_dict(ar, counts)
+    # The reader leaves "{}" and values of 19 digits or more to json.loads.
+    mults = _read_canonical(ar, text, {})
+    assert mults == m.mults or (mults is None and not 0 < max(m.mults) < 10**18)
 
 
 @SETTINGS
