@@ -243,12 +243,14 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
     out_labels: defaultdict[Key, set[int]] = defaultdict(set)
     pending: list[CheckReport] = []
     for k, (src, i, tgt) in enumerate(g.edges):
+        if type(i) is not int or not 1 <= i <= n:
+            return CheckReport(False, k, f"edge {k}: label {i!r} is not in 1..{n}")
         sd, td = g.vertices.get(src), g.vertices.get(tgt)
         if sd is None or td is None:
             return CheckReport(False, k, f"edge {k}: endpoint is not a vertex")
         step = tuple(map(sub, tgt, src))
-        # f_i out of level `depth` is derived here alone; f_tilde raises on a bad label.
-        df = moves[src][i - 1] if 1 <= i <= n else None
+        # f_i out of level `depth` is derived here alone.
+        df = moves[src][i - 1]
         if (df or tuple(map(sub, f_tilde(ar, ModuleClass(src), i).mults, src))) != step:
             return CheckReport(False, k, f"edge {k}: f_{i} does not map source to target")
         if moves[tgt][n + i - 1] != step:

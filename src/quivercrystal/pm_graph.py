@@ -8,21 +8,27 @@ node.  White nodes mark summands of M, red nodes summands of tau^{-1}M
 the sink; the minimum number of unmatched whites over all morphisms is
 an independent route to the crystal string statistic.
 
-What depends on the poset alone is built once per (labels, covers) and
-kept in a bounded cache (`_SKELETONS` entries): the label positions, the
-upper covers of each label, the linear-extension and sink checks, and
-the graph with every chain of length 1.  A graph whose chains all have
-length 1 shares that graph's `succ` and `reach` tuples (immutable, as
-are their members) and copies its `first`, `last` and `_names`, so no
-two graphs share a mutable container; only the colors are its own.  Any
-other graph lays its chains out by offsets in one sweep from the top
-label down, reading the upper covers from the cache.
+What depends on a poset alone is built once per `HomPoset`, from the Hom
+table and tau of the AR quiver rather than from the poset's own covers,
+and kept while the poset lives: the labels, the upper covers of each, the
+linear-extension and sink checks, the graph with every chain of length
+1, and pickers that read mu_B(M) for every label B and mu_{tau B}(M) for
+every non-projective one, each in one C call.  A graph whose counts are all at most 1 is that graph colored
+by `compress`: it shares its `succ` and `reach` tuples (immutable, as are
+their members) and copies `first`, `last` and `_names`, so no two graphs
+share a mutable container.  Any other graph lays its chains out by
+offsets in one sweep from the top label down.  The public constructor
+checks its dicts and lays out through the same step.  A graph with no
+red node has one morphism, so `min_epsilon` returns its white count
+before the search guard.
 """
 
 from __future__ import annotations
 
-import functools
+from itertools import accumulate, compress
+from operator import itemgetter
 from typing import Iterator, NamedTuple
+from weakref import WeakKeyDictionary
 
 # tau_inv_class goes unused here: perfbench/tracing.py patches it.
 from .ar_quiver import ARQuiver, ModuleClass, tau_inv_class
@@ -50,7 +56,7 @@ class MultiplicityGraph:
     """The expanded graph: chain nodes per label, a sink, and the two color sets.
 
     Nodes are integers.  Labels must be distinct and listed in a linear
-    extension of the cover relation.  Nothing is written to the graph after `__init__`.
+    extension of the cover relation.  Nothing is written to the graph after construction.
     """
 
     def __init__(
@@ -61,46 +67,43 @@ class MultiplicityGraph:
         white_counts: dict,
         red_counts: dict,
     ):
-        self.labels = labels = tuple(labels)
-        if type(covers) is not tuple:
-            covers = tuple(map(tuple, covers))
-        pos, heads, unit_names, unit_succ, unit_reach = _skeleton(labels, covers)
-        get_len, get_white, get_red = lengths.get, white_counts.get, red_counts.get
-        firsts: list[int] = []
-        whites: list[int] = []
-        reds: list[int] = []
-        top = 0
-        for lab in labels:
-            length = get_len(lab, 1)
-            w = get_white(lab, 0)
-            r = get_red(lab, 0)
+        sk = _skeleton(tuple(labels), covers)
+        chain, whites, reds = [], [], []
+        for lab in sk[0]:
+            length, w, r = lengths.get(lab, 1), white_counts.get(lab, 0), red_counts.get(lab, 0)
             if w > length or r > length:
                 raise DomainError(f"color counts exceed chain length at {lab}")
-            firsts.append(top)
-            if w:
-                whites.extend(range(top, top + int(w)))
-            if r:
-                reds.extend(range(top, top + int(r)))
-            top += int(length) if length > 1 else 1
-        if top == len(labels):
+            chain.append(int(length) if length > 1 else 1)
+            whites.append(max(0, int(w)))
+            reds.append(max(0, int(r)))
+        self._lay_out(sk, whites, range(len(chain)), reds, chain)
+
+    def _lay_out(self, sk: tuple, whites, red_pos, reds, chain: list[int] | None = None):
+        """Nodes, edges and colors: a white count per label, a red count per position in
+        `red_pos` (ascending), chains `chain` or else max(1, white, red) long."""
+        self.labels, pos, heads, names, succ, reach = sk
+        if max(whites + reds) < 2 if chain is None else sum(chain) == len(chain):
             # Unit chains: the skeleton is this graph before coloring.
-            self._names = list(unit_names)
-            self.first = dict(pos)
-            self.last = dict(pos)
-            self.succ, self.reach = unit_succ, unit_reach
+            self._names, self.first, self.last = list(names), dict(pos), dict(pos)
+            self.succ, self.reach, self.sink = succ, reach, len(pos)
+            white = compress(range(len(pos)), whites)
+            red_order = tuple(compress(red_pos, reds))
         else:
-            firsts.append(top)
-            self._names, self.first, self.last, self.succ, self.reach = _expand(
-                labels, heads, firsts
-            )
-        self.sink = top
-        self.white = white = frozenset(whites)
-        self.red = frozenset(reds)
-        # Chains are numbered in label order, so reds came out ascending.
-        self.red_order = red_order = tuple(reds)
-        targets = self._white_targets = {}
-        for r in red_order:
-            targets[r] = tuple(sorted(self.reach[r] & white))
+            colored_white = list(compress(enumerate(whites), whites))
+            colored_red = list(compress(zip(red_pos, reds), reds))
+            if chain is None:
+                chain = [1] * len(pos)
+                for k, c in colored_white + colored_red:
+                    chain[k] = max(chain[k], c)
+            firsts = [0, *accumulate(chain)]
+            self._names, self.first, self.last, self.succ, reach = _expand(sk[0], heads, firsts)
+            self.reach, self.sink = reach, firsts[-1]
+            white = [u for k, c in colored_white for u in range(firsts[k], firsts[k] + c)]
+            # Chains are numbered in label order, so reds come out ascending.
+            red_order = tuple(u for k, c in colored_red for u in range(firsts[k], firsts[k] + c))
+        self.white = white = frozenset(white)
+        self.red, self.red_order = frozenset(red_order), red_order
+        self._white_targets = {r: tuple(sorted(reach[r] & white)) for r in red_order}
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -132,17 +135,9 @@ class MultiplicityGraph:
         return "\n".join(lines) + "\n"
 
 
-_SKELETONS = 256  # distinct (labels, covers) kept; one per AR quiver and vertex in practice
-
-
-@functools.lru_cache(maxsize=_SKELETONS)
-def _skeleton(labels: tuple, covers: tuple):
-    """What a multiplicity graph takes from its poset alone, checked once.
-
-    Returns the position of each label (with unit chains also its first
-    and last node), the sorted positions covering each position, and the
-    unit-chain graph's `_names`, `succ` and `reach`.
-    """
+def _skeleton(labels: tuple, covers) -> tuple:
+    """The labels, their positions (with unit chains also first and last nodes), the
+    sorted positions covering each, and the unit-chain graph's `_names`, `succ`, `reach`."""
     pos = {lab: k for k, lab in enumerate(labels)}
     if len(pos) < len(labels):
         repeated = next(lab for k, lab in enumerate(labels) if pos[lab] != k)
@@ -154,7 +149,7 @@ def _skeleton(labels: tuple, covers: tuple):
         heads[pos[a]].append(pos[b])
     heads_t = tuple(tuple(sorted(h)) for h in heads)
     names, _, _, succ, reach = _expand(labels, heads_t, list(range(len(labels) + 1)))
-    return pos, heads_t, tuple(names), succ, reach
+    return labels, pos, heads_t, tuple(names), succ, reach
 
 
 def _expand(labels: tuple, heads: tuple, firsts: list[int]):
@@ -203,23 +198,38 @@ def _expand(labels: tuple, heads: tuple, firsts: list[int]):
     return names, dict(zip(labels, firsts)), dict(zip(labels, lasts)), tuple(succ), tuple(reach)
 
 
+# Per poset: its skeleton, and the pickers of mu_B(M) for every label B and of
+# mu_{tau B}(M) = mu_B(tau^{-1}M) for every non-projective one (at red_pos).
+_by_poset: WeakKeyDictionary[HomPoset, tuple] = WeakKeyDictionary()
+
+
+def _poset_skeleton(ar: ARQuiver, i: int) -> tuple:
+    """The vertex-i skeleton and pickers, read from the Hom table of `ar` alone."""
+    labels = tuple(x.id for x in ar.indecs if ar.hom_dim(x, ar.simple(i)) >= 1)
+    above = {a: [b for b in labels if b != a and ar.hom_dim(a, b) >= 1] for a in labels}
+    # The covers: the transitive reduction of Hom != 0.
+    covers = [(a, b) for a in labels for b in above[a] if all(b not in above[c] for c in above[a])]
+    red_pos = tuple(k for k, x in enumerate(labels) if ar.tau_ids[x] is not None)
+    pick_red = _picker(tuple(ar.tau_ids[labels[k]] for k in red_pos))
+    return _skeleton(labels, covers), _picker(labels), red_pos, pick_red
+
+
+def _picker(ids: tuple[int, ...]):
+    """mults -> the tuple of mults at ids, in one C call (a slice for fewer than two ids)."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    return itemgetter(slice(ids[0], ids[0] + 1) if ids else slice(0))
+
+
 def build_pm(ar: ARQuiver, p: HomPoset, m: ModuleClass) -> MultiplicityGraph:
     """Expand the vertex-i poset by the multiplicities of M and tau^{-1}M."""
-    mults, tau_ids = m.mults, ar.tau_ids
-    labels = p.element_ids
-    covers = tuple((labels[a], labels[b]) for a, b in p.covers)
-    # The graph reads a missing count as 0 and a missing length as 1.
-    lengths, whites, reds = {}, {}, {}
-    for xid in labels:  # mu_B(tau^{-1}M) = mu_{tau B}(M), and 0 on projective B
-        w = mults[xid]
-        r = 0 if tau_ids[xid] is None else mults[tau_ids[xid]]
-        if w:
-            whites[xid] = w
-        if r:
-            reds[xid] = r
-        if w > 1 or r > 1:
-            lengths[xid] = max(w, r)
-    return MultiplicityGraph(labels, covers, lengths, whites, reds)
+    try:
+        sk, pick_white, red_pos, pick_red = _by_poset[p]
+    except KeyError:
+        sk, pick_white, red_pos, pick_red = _by_poset[p] = _poset_skeleton(ar, p.vertex)
+    g = MultiplicityGraph.__new__(MultiplicityGraph)
+    g._lay_out(sk, pick_white(m.mults), red_pos, pick_red(m.mults))
+    return g
 
 
 class AMorphism(NamedTuple):
@@ -372,9 +382,11 @@ def is_preceq_minimal(
 
 def min_epsilon(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
     """Minimum of eps_of over all morphisms, by pruned DFS."""
-    _guard_search_space(g, limit)
     reds = g.red_order
     n_white = len(g.white)
+    if not reds:  # one morphism, which misses every white; the guard's bound is 1
+        return n_white
+    _guard_search_space(g, limit)
     best = n_white
     used: set[int] = set()
 

@@ -183,6 +183,17 @@ def test_epsilon_resource_limit(capsys):
     assert code == 3 and "resource" in err
 
 
+def test_epsilon_limit_applies_only_to_graphs_with_red_nodes(capsys):
+    """--limit 1 refuses the pinned class, whose graph has red nodes, and
+    answers one whose vertex-2 graph has none."""
+    base = ["epsilon", "--quiver", "A3: 2->1,2->3", "-i", "2", "--oracle", "geom", "--limit", "1"]
+    code, _, err = run_cli(capsys, *base, "--module", '{"1,1,1":2,"1,0,0":1,"0,1,1":1,"0,1,0":1}')
+    assert code == 3 and "resource" in err
+    code, out, _ = run_cli(capsys, *base, "--module", '{"0,1,0":2,"1,1,0":1,"0,1,1":1}', "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"agree": True, "epsilon": 4, "geom": 4, "i": 2}
+
+
 def test_e8_orientation_validates_then_special_is_empty(capsys):
     spec = "E8: 1->2, 2->3, 3->4, 4->5, 5->6, 6->7, 3->8"
     code, out, _ = run_cli(capsys, "quiver", "validate", spec)

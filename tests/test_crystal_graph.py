@@ -168,6 +168,16 @@ def test_check_axioms_reports_incomplete_and_inconsistent_graphs(monkeypatch):
     assert not report.ok and "does not invert" in report.first_violation, report
 
 
+@pytest.mark.parametrize("label", [0, 3, "1", True])
+def test_check_axioms_reports_an_edge_label_outside_the_vertices(label):
+    """A hand-built graph's label that is not an int in 1..rank is a report, not an exception."""
+    g = generate(ar_of(A2), 2)
+    src, _, tgt = g.edges[0]
+    report = check_axioms(CrystalGraph(g.ar, 2, g.vertices, [(src, label, tgt), *g.edges[1:]], g.levels))
+    assert not report.ok and report.checked_edges == 0, report
+    assert report.first_violation == f"edge 0: label {label!r} is not in 1..2"
+
+
 @pytest.mark.parametrize("spec, depth", [(A3_MIDDLE, 4), ("D4: 1->2, 2->3, 2->4", 3)])
 def test_score_pass_budget(monkeypatch, spec, depth):
     """generate and check_axioms each make exactly one score pass per distinct

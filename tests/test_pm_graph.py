@@ -181,6 +181,17 @@ def test_min_epsilon_examples():
         assert min_epsilon(gk) == k
 
 
+def test_min_epsilon_without_red_nodes_ignores_the_limit():
+    """With no red node the one morphism misses every white, whatever the limit."""
+    ar = ar_of(A3_MIDDLE)
+    for dims in ({(0, 1, 0): 1, (1, 1, 0): 1, (0, 1, 1): 1}, {(0, 1, 0): 2, (1, 1, 0): 1, (0, 1, 1): 1}):
+        m = module_from_dim_dict(ar, dims)
+        g = build_pm(ar, hom_poset(ar, 2), m)
+        assert g.red_order == () and len(g.white) == sum(dims.values())
+        assert min_epsilon(g) == min_epsilon(g, limit=1) == min_epsilon(g, limit=0) == len(g.white)
+        assert min_epsilon(g) == epsilon_i(ar, m, 2)
+
+
 def test_min_epsilon_matches_exhaustive_enumeration():
     ar, m, g = worked_graph()
     assert min_epsilon(g) == min(eps_of(g, phi) for phi in enumerate_morphisms(g))
@@ -410,22 +421,28 @@ def _assert_matches_definition(g, *inputs):
         assert getattr(g, name) == value, name
 
 
-@pytest.mark.parametrize("kind,rank", [("D", 5), ("E", 6)])
+@pytest.mark.parametrize("kind,rank", [("D", 5), ("E", 6), ("E", 7)])
 def test_graph_matches_its_definition(kind, rank):
     from quivercrystal import ModuleClass, special_orientations
     from quivercrystal.ar_quiver import build_ar, tau_inv_class
     from quivercrystal.dynkin import diagram
 
     rng = random.Random(rank)
-    seen_unit = seen_longer = 0
+    seen_unit = seen_longer = seen_red_side = 0
     for q in special_orientations(diagram(kind, rank)):
         ar = build_ar(q)
         for i in range(1, rank + 1):
             p = hom_poset(ar, i)
             labels = p.element_ids
             covers = tuple((labels[a], labels[b]) for a, b in p.covers)
-            for top in (1, 1, 2, 3):
-                m = ModuleClass(tuple(rng.choice((0, 0, top)) for _ in range(len(ar))))
+            classes = [
+                ModuleClass(tuple(rng.choice((0, 0, top)) for _ in range(len(ar))))
+                for top in (1, 1, 2, 3)
+            ]
+            # Two copies of tau B for every label B: red counts of 2 over white counts of 0 or 2.
+            taus = set(p.tau_ids) - {None}
+            classes.append(ModuleClass(tuple(2 * (x in taus) for x in range(len(ar)))))
+            for m in classes:
                 tm = tau_inv_class(ar, m)
                 lengths = {x: max(1, m.mults[x], tm.mults[x]) for x in labels}
                 whites = {x: m.mults[x] for x in labels}
@@ -436,6 +453,49 @@ def test_graph_matches_its_definition(kind, rank):
                     seen_unit += 1
                 else:
                     seen_longer += 1
+                seen_red_side += any(reds[x] > max(1, whites[x]) for x in labels)
+    assert seen_unit and seen_longer
+    assert seen_red_side
+
+
+@pytest.mark.parametrize("kind,rank", [("D", 5), ("E", 6)])
+def test_build_pm_equals_the_graph_built_from_dicts(kind, rank):
+    """build_pm and the public constructor give the same graph, on sparse classes (at most
+    6 summands, multiplicity at most 2) and dense ones (every multiplicity in 0..2)."""
+    from quivercrystal import ModuleClass, special_orientations
+    from quivercrystal.ar_quiver import build_ar, tau_inv_class
+    from quivercrystal.dynkin import diagram
+
+    rng = random.Random(100 + rank)
+    ar = build_ar(next(iter(special_orientations(diagram(kind, rank)))))
+    classes = []
+    for _ in range(15):
+        mults = [0] * len(ar)
+        for _ in range(rng.randrange(7)):
+            x = rng.randrange(len(ar))
+            mults[x] = min(2, mults[x] + 1)
+        classes.append(ModuleClass(tuple(mults)))
+        classes.append(ModuleClass(tuple(rng.randrange(3) for _ in range(len(ar)))))
+    seen_unit = seen_longer = 0
+    for m in classes:
+        tm = tau_inv_class(ar, m)
+        for i in range(1, rank + 1):
+            p = hom_poset(ar, i)
+            labels = p.element_ids
+            covers = tuple((labels[a], labels[b]) for a, b in p.covers)
+            g = build_pm(ar, p, m)
+            h = MultiplicityGraph(
+                labels,
+                covers,
+                {x: max(1, m.mults[x], tm.mults[x]) for x in labels},
+                {x: m.mults[x] for x in labels},
+                {x: tm.mults[x] for x in labels},
+            )
+            assert vars(g) == vars(h), (m.mults, i)
+            if g.sink == len(labels):
+                seen_unit += 1
+            else:
+                seen_longer += 1
     assert seen_unit and seen_longer
 
 
