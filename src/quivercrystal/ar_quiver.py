@@ -4,8 +4,8 @@ The AR quiver is knitted slice by slice along ZQ^op: slice 0 holds the
 projectives, and slice k+1 holds tau^{-1}X for each non-injective X of
 slice k, with dim tau^{-1}X read additively off the mesh from X.  Hom and Ext
 dimensions are then computed by walking tau orbits back to projectives,
-with Ext obtained from Hom through Auslander-Reiten duality.  The poset
-of a vertex (`HomPoset`) is built from an AR quiver but not stored on it.
+with Ext obtained from Hom through Auslander-Reiten duality.  Classes of
+representations (`ModuleClass`) and their JSON wire format live here too.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import DomainError, InvariantViolation, QuiverParseError
 __all__ = [
     "Indec",
     "ARQuiver",
-    "Antichain",
-    "HomPoset",
     "ModuleClass",
     "build_ar",
     "thick_vertices",
@@ -214,125 +212,6 @@ class ARQuiver:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-
-class Antichain(NamedTuple("Antichain", [("members", tuple[int, ...])])):
-    """A nonempty set of pairwise incomparable poset elements (Indec ids)."""
-
-    __slots__ = ()
-
-    def __new__(cls, members: tuple[int, ...]):
-        if not members:
-            raise DomainError("antichains are nonempty")
-        return tuple.__new__(cls, (members,))
-
-
-class HomPoset:
-    """Poset of indecomposables mapping onto S(i), ordered by Hom != 0.
-
-    Besides the order it holds every table the crystal operators read:
-    the antichains, their down-sets (as bit masks over positions), the
-    plan that builds each down-set from a smaller one, their exchange sets
-    and the tau translates of the elements.
-    """
-
-    def __init__(self, ar: ARQuiver, i: int):
-        if not 1 <= i <= ar.rank:
-            raise DomainError(f"vertex {i} out of range")
-        if not ar.is_special():
-            raise DomainError(
-                f"{ar.quiver.text_spec()} is not special; crystal recipes do not apply"
-            )
-        self.vertex = i
-        s = ar.simple(i)
-        # The elements by position; the poset keeps no reference to ar.
-        self.elements = tuple(x for x in ar.indecs if ar.hom_dim(x, s) >= 1)
-        self.element_ids = tuple(x.id for x in self.elements)
-        self._pos = {xid: k for k, xid in enumerate(self.element_ids)}
-        n = len(self.element_ids)
-        leq = self.leq = tuple(
-            tuple(ar.hom_dim(a, b) >= 1 for b in self.element_ids) for a in self.element_ids
-        )
-        # below[b] has bit a set exactly when a <= b; above is its transpose.
-        below = [sum(1 << a for a in range(n) if leq[a][b]) for b in range(n)]
-        above = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
-        for a in range(n):
-            if not leq[a][a]:
-                raise InvariantViolation("hom order not reflexive")
-            if above[a] & below[a] != 1 << a:
-                raise InvariantViolation("hom order not antisymmetric")
-            if any(below[a] & ~below[b] for b in range(n) if leq[a][b]):
-                raise InvariantViolation("hom order not transitive")
-        self.covers = tuple(
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if a != b and above[a] & below[b] == 1 << a | 1 << b
-        )
-        chains: list[tuple[int, ...]] = []
-        downs: list[int] = []
-
-        def extend(start: int, chosen: tuple[int, ...], mask: int, down: int) -> None:
-            for k in range(start, n):
-                if not (below[k] & mask or down >> k & 1):
-                    chains.append(chosen + (k,))
-                    downs.append(down | below[k])
-                    extend(k + 1, chains[-1], mask | 1 << k, downs[-1])
-
-        extend(0, (), 0, 0)
-        self.antichains = tuple(
-            Antichain(tuple(self.element_ids[k] for k in ch)) for ch in chains
-        )
-        self._index = {a.members: idx for idx, a in enumerate(self.antichains)}
-        # v <= w among antichains exactly when downsets[v] is a submask of downsets[w].
-        self.downsets = tuple(downs)
-        # Down-set plan, smallest first: (antichain, the down-set left when
-        # one of its members is removed, that member).  -1 is the empty one.
-        parent = {0: -1, **{d: k for k, d in enumerate(downs)}}
-        self.plan = tuple(
-            (k, parent[downs[k] & ~(1 << chains[k][-1])], chains[k][-1])
-            for k in sorted(range(len(chains)), key=lambda k: downs[k].bit_count())
-        )
-        # Exchange set: the minimal elements outside a down-set.  A plan step adds x
-        # to its parent, so x leaves and the upper covers of x now minimal join.
-        ups = [[b for a, b in self.covers if a == x] for x in range(n)]
-        exchange = {-1: tuple(b for b in range(n) if below[b] == 1 << b)}
-        for k, par, x in self.plan:
-            gained = [c for c in ups[x] if below[c] & ~downs[k] == 1 << c]
-            exchange[k] = tuple(sorted([b for b in exchange[par] if b != x] + gained))
-        self.exchange = tuple(exchange[k] for k in range(len(downs)))
-        # tau ids by position, None on the projective; support: the ids a pass reads or writes.
-        self.tau_ids = tuple(ar.tau_ids[xid] for xid in self.element_ids)
-        self.support = tuple(sorted({*self.element_ids, *self.tau_ids} - {None}))
-
-    def __len__(self) -> int:
-        return len(self.element_ids)
-
-    def pos(self, x: Indec | int) -> int:
-        xid = x.id if isinstance(x, Indec) else x
-        try:
-            return self._pos[xid]
-        except KeyError:
-            raise DomainError(f"{x} is not an element of this poset") from None
-
-    def leq_elements(self, a: Indec | int, b: Indec | int) -> bool:
-        return self.leq[self.pos(a)][self.pos(b)]
-
-    def minimum(self) -> Indec:
-        return self._unique([a for a, row in enumerate(self.leq) if all(row)], "minimum")
-
-    def maximum(self) -> Indec:
-        return self._unique([b for b, col in enumerate(zip(*self.leq)) if all(col)], "maximum")
-
-    def _unique(self, found: list[int], what: str) -> Indec:
-        if len(found) != 1:
-            raise InvariantViolation(f"hom poset has no unique {what}")
-        return self.elements[found[0]]
-
-    def index_of(self, v: Antichain) -> int:
-        try:
-            return self._index[tuple(sorted(v.members))]
-        except KeyError:
-            raise DomainError(f"{v} is not an antichain of this poset") from None
 
 def build_ar(q: Quiver) -> ARQuiver:
     """Knit the AR quiver of a Dynkin quiver slice by slice along ZQ^op.

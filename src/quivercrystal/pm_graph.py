@@ -13,14 +13,15 @@ table and tau of the AR quiver rather than from the poset's own covers,
 and kept while the poset lives: the labels, the upper covers of each, the
 linear-extension and sink checks, the graph with every chain of length
 1, and pickers that read mu_B(M) for every label B and mu_{tau B}(M) for
-every non-projective one, each in one C call.  A graph whose counts are all at most 1 is that graph colored
-by `compress`: it shares its `succ` and `reach` tuples (immutable, as are
-their members) and copies `first`, `last` and `_names`, so no two graphs
-share a mutable container.  Any other graph lays its chains out by
-offsets in one sweep from the top label down.  The public constructor
-checks its dicts and lays out through the same step.  A graph with no
-red node has one morphism, so `min_epsilon` returns its white count
-before the search guard.
+every non-projective one, each in one C call.  A graph whose counts are
+all at most 1 is that graph colored by `compress`: it shares its `succ`
+and `reach` tuples (immutable, as are their members) and copies `first`,
+`last` and `_names`, so no two graphs share a mutable container.  Any
+other graph lays its chains out by offsets in one sweep from the top
+label down.  The public constructor takes a white and a red count per
+label, each an int >= 0, and lays out through the same step.  A graph
+with no red node has one morphism, so `min_epsilon` returns its white
+count before the search guard.
 """
 
 from __future__ import annotations
@@ -55,34 +56,25 @@ __all__ = [
 class MultiplicityGraph:
     """The expanded graph: chain nodes per label, a sink, and the two color sets.
 
-    Nodes are integers.  Labels must be distinct and listed in a linear
-    extension of the cover relation.  Nothing is written to the graph after construction.
+    Nodes are integers.  Labels must be distinct and listed in a linear extension
+    of the covers.  Each label's counts (ints >= 0, 0 if absent) give it a chain
+    max(1, white, red) long.  Nothing is written to the graph after construction.
     """
 
-    def __init__(
-        self,
-        labels: tuple,
-        covers: tuple[tuple[object, object], ...],
-        lengths: dict,
-        white_counts: dict,
-        red_counts: dict,
-    ):
+    def __init__(self, labels: tuple, covers, white_counts: dict, red_counts: dict):
         sk = _skeleton(tuple(labels), covers)
-        chain, whites, reds = [], [], []
-        for lab in sk[0]:
-            length, w, r = lengths.get(lab, 1), white_counts.get(lab, 0), red_counts.get(lab, 0)
-            if w > length or r > length:
-                raise DomainError(f"color counts exceed chain length at {lab}")
-            chain.append(int(length) if length > 1 else 1)
-            whites.append(max(0, int(w)))
-            reds.append(max(0, int(r)))
-        self._lay_out(sk, whites, range(len(chain)), reds, chain)
+        whites = [white_counts.get(lab, 0) for lab in sk[0]]
+        reds = [red_counts.get(lab, 0) for lab in sk[0]]
+        for lab, c in [*zip(sk[0], whites), *zip(sk[0], reds)]:
+            if type(c) is not int or c < 0:
+                raise DomainError(f"color count {c!r} at {lab!r} is not an integer >= 0")
+        self._lay_out(sk, whites, range(len(whites)), reds)
 
-    def _lay_out(self, sk: tuple, whites, red_pos, reds, chain: list[int] | None = None):
+    def _lay_out(self, sk: tuple, whites, red_pos, reds):
         """Nodes, edges and colors: a white count per label, a red count per position in
-        `red_pos` (ascending), chains `chain` or else max(1, white, red) long."""
+        `red_pos` (ascending); each chain is max(1, white, red) long."""
         self.labels, pos, heads, names, succ, reach = sk
-        if max(whites + reds) < 2 if chain is None else sum(chain) == len(chain):
+        if max(whites + reds, default=0) < 2:
             # Unit chains: the skeleton is this graph before coloring.
             self._names, self.first, self.last = list(names), dict(pos), dict(pos)
             self.succ, self.reach, self.sink = succ, reach, len(pos)
@@ -91,10 +83,9 @@ class MultiplicityGraph:
         else:
             colored_white = list(compress(enumerate(whites), whites))
             colored_red = list(compress(zip(red_pos, reds), reds))
-            if chain is None:
-                chain = [1] * len(pos)
-                for k, c in colored_white + colored_red:
-                    chain[k] = max(chain[k], c)
+            chain = [1] * len(pos)
+            for k, c in colored_white + colored_red:
+                chain[k] = max(chain[k], c)
             firsts = [0, *accumulate(chain)]
             self._names, self.first, self.last, self.succ, reach = _expand(sk[0], heads, firsts)
             self.reach, self.sink = reach, firsts[-1]

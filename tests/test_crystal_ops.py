@@ -29,7 +29,8 @@ from quivercrystal import (
     zero_module,
 )
 from quivercrystal import crystal_ops
-from quivercrystal.ar_quiver import ARQuiver, HomPoset, build_ar
+from quivercrystal.ar_quiver import ARQuiver, build_ar
+from quivercrystal.crystal_ops import HomPoset
 from quivercrystal.dynkin import all_orientations, diagram, parse_quiver
 from quivercrystal.pm_graph import build_pm
 

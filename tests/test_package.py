@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import quivercrystal
 from conftest import A3_MIDDLE, ar_of
 from quivercrystal import (
     AMorphism,
@@ -99,6 +100,8 @@ COMMANDS = {
 }
 NEEDS_PM_GRAPH = {"epsilon_geom", "epsilon_pm_dot", "check_samples"}
 NEEDS_CRYSTAL_GRAPH = {"graph", "check", "check_samples"}
+# The vertex posets live in crystal_ops, so commands that build none never load it.
+NEEDS_CRYSTAL_OPS = set(COMMANDS) - {"validate", "ar", "special"}
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -108,6 +111,7 @@ def test_subcommands_import_only_what_they_use(name):
     assert "dataclasses" not in loaded
     assert ("quivercrystal.pm_graph" in loaded) == (name in NEEDS_PM_GRAPH), loaded
     assert ("quivercrystal.crystal_graph" in loaded) == (name in NEEDS_CRYSTAL_GRAPH), loaded
+    assert ("quivercrystal.crystal_ops" in loaded) == (name in NEEDS_CRYSTAL_OPS), loaded
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -151,6 +155,13 @@ print("ok")
 
 def test_public_surface_resolves_in_a_fresh_interpreter():
     assert run_fresh(SURFACE, json.dumps(EXPORTS), json.dumps(SUBMODULES)) == "ok\n"
+
+
+@pytest.mark.parametrize("mod", EXPORTS)
+def test_each_export_is_defined_in_its_home_module(mod):
+    home = "quivercrystal." + mod
+    elsewhere = [n for n in EXPORTS[mod] if getattr(quivercrystal, n).__module__ != home]
+    assert elsewhere == []
 
 
 def test_each_default_bound_is_defined_once():

@@ -41,10 +41,9 @@ def five_chain_graph():
     """Abstract instance: two reds feeding three chains of whites."""
     labels = ("B1", "B2", "B3", "B4", "B5")
     covers = (("B1", "B3"), ("B1", "B4"), ("B2", "B4"), ("B2", "B5"))
-    lengths = {"B1": 1, "B2": 1, "B3": 2, "B4": 2, "B5": 1}
     whites = {"B3": 2, "B4": 2, "B5": 1}
     reds = {"B1": 1, "B2": 1}
-    return MultiplicityGraph(labels, covers, lengths, whites, reds)
+    return MultiplicityGraph(labels, covers, whites, reds)
 
 
 def node(g, label, pos):
@@ -84,7 +83,7 @@ def test_enumerate_empty_red():
 
 
 def test_enumerate_one_red_one_white():
-    g = MultiplicityGraph(("a", "b"), (("a", "b"),), {"a": 1, "b": 1}, {"b": 1}, {"a": 1})
+    g = MultiplicityGraph(("a", "b"), (("a", "b"),), {"b": 1}, {"a": 1})
     morphs = list(enumerate_morphisms(g))
     targets = sorted(m.targets for m in morphs)
     assert targets == [(node(g, "b", 1),), (g.sink,)]
@@ -362,20 +361,20 @@ def test_graph_is_not_written_after_construction():
 
 def test_labels_must_extend_covers():
     with pytest.raises(DomainError):
-        MultiplicityGraph(("b", "a"), (("a", "b"),), {}, {}, {})
+        MultiplicityGraph(("b", "a"), (("a", "b"),), {}, {})
 
 
 def test_dot_escapes_quotes_and_backslashes_in_labels():
-    g = MultiplicityGraph(('a"b', "c\\d"), (('a"b', "c\\d"),), {}, {"c\\d": 1}, {'a"b': 1})
+    g = MultiplicityGraph(('a"b', "c\\d"), (('a"b', "c\\d"),), {"c\\d": 1}, {'a"b': 1})
     dot = g.to_dot()
     assert 'n0 [label="a\\"b(1)", style=filled, fillcolor=red];' in dot
     assert 'n1 [label="c\\\\d(1)", style=filled, fillcolor=white];' in dot
     assert 'label="a"b(1)"' not in dot
 
 
-def _by_definition(labels, covers, lengths, whites, reds):
+def _by_definition(labels, covers, whites, reds):
     """Every attribute of the graph rebuilt from the chain, cover and sink rules."""
-    top = {lab: max(1, lengths.get(lab, 1)) for lab in labels}
+    top = {lab: max(1, whites.get(lab, 0), reds.get(lab, 0)) for lab in labels}
     names = [(lab, p) for lab in labels for p in range(1, top[lab] + 1)] + [("inf", 0)]
     at = {name: u for u, name in enumerate(names)}
     sink = len(names) - 1
@@ -444,11 +443,10 @@ def test_graph_matches_its_definition(kind, rank):
             classes.append(ModuleClass(tuple(2 * (x in taus) for x in range(len(ar)))))
             for m in classes:
                 tm = tau_inv_class(ar, m)
-                lengths = {x: max(1, m.mults[x], tm.mults[x]) for x in labels}
                 whites = {x: m.mults[x] for x in labels}
                 reds = {x: tm.mults[x] for x in labels}
                 g = build_pm(ar, p, m)
-                _assert_matches_definition(g, labels, covers, lengths, whites, reds)
+                _assert_matches_definition(g, labels, covers, whites, reds)
                 if g.sink == len(labels):
                     seen_unit += 1
                 else:
@@ -487,7 +485,6 @@ def test_build_pm_equals_the_graph_built_from_dicts(kind, rank):
             h = MultiplicityGraph(
                 labels,
                 covers,
-                {x: max(1, m.mults[x], tm.mults[x]) for x in labels},
                 {x: m.mults[x] for x in labels},
                 {x: tm.mults[x] for x in labels},
             )
@@ -505,7 +502,6 @@ def test_five_chain_graph_matches_its_definition():
         g,
         ("B1", "B2", "B3", "B4", "B5"),
         (("B1", "B3"), ("B1", "B4"), ("B2", "B4"), ("B2", "B5")),
-        {"B1": 1, "B2": 1, "B3": 2, "B4": 2, "B5": 1},
         {"B3": 2, "B4": 2, "B5": 1},
         {"B1": 1, "B2": 1},
     )
@@ -514,19 +510,29 @@ def test_five_chain_graph_matches_its_definition():
 def test_bad_input_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(DomainError, match="linear extension"):
-            MultiplicityGraph(("b", "a"), (("a", "b"),), {}, {}, {})
+            MultiplicityGraph(("b", "a"), (("a", "b"),), {}, {})
     for _ in range(2):
-        with pytest.raises(DomainError, match="exceed chain length at a"):
-            MultiplicityGraph(("a", "b"), (("a", "b"),), {}, {"a": 2}, {})
-        with pytest.raises(DomainError, match="exceed chain length at b"):
-            MultiplicityGraph(("a", "b"), (("a", "b"),), {"a": 2}, {}, {"b": 2})
         with pytest.raises(DomainError, match="label 'a' is repeated"):
-            MultiplicityGraph(("a", "a"), (), {}, {}, {})
+            MultiplicityGraph(("a", "a"), (), {}, {})
+        # A count is an int >= 0: nothing is clamped or coerced.
+        for count in (-1, 1.0, True, "1"):
+            with pytest.raises(DomainError, match=f"color count {count!r} at 'b' is not"):
+                MultiplicityGraph(("a", "b"), (("a", "b"),), {"b": count}, {})
+            with pytest.raises(DomainError, match=f"color count {count!r} at 'a' is not"):
+                MultiplicityGraph(("a", "b"), (("a", "b"),), {}, {"a": count})
+
+
+def test_empty_graph_is_one_sink():
+    g = MultiplicityGraph((), (), {}, {})
+    assert g.nodes == (0,) and g.sink == 0 and g.succ == ((),) and g.reach == (frozenset({0}),)
+    assert g.labels == () and g.first == g.last == {} and g.node_label(0) == "inf"
+    assert g.white == g.red == frozenset() and g.red_order == () and g._white_targets == {}
+    assert min_epsilon(g) == 0
 
 
 def test_covers_may_be_a_list_of_pairs():
-    g = MultiplicityGraph(("a", "b", "c"), [["a", "b"], ("a", "c")], {"b": 2}, {"b": 2}, {"a": 1})
-    h = MultiplicityGraph(("a", "b", "c"), (("a", "b"), ("a", "c")), {"b": 2}, {"b": 2}, {"a": 1})
+    g = MultiplicityGraph(("a", "b", "c"), [["a", "b"], ("a", "c")], {"b": 2}, {"a": 1})
+    h = MultiplicityGraph(("a", "b", "c"), (("a", "b"), ("a", "c")), {"b": 2}, {"a": 1})
     assert vars(g) == vars(h)
 
 
