@@ -156,9 +156,9 @@ def _class_stats(ar, m: ModuleClass) -> dict:
 
 
 def _cmd_apply(args) -> int:
-    from . import crystal_ops
     ar = build_ar(parse_quiver(args.quiver))
     m: ModuleClass | None = _load_module(ar, args.module)
+    from . import crystal_ops
     for kind, i in _parse_ops(args.ops, ar.rank):
         if kind == "f":
             m = crystal_ops.f_tilde(ar, m, i)
@@ -181,9 +181,9 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_epsilon(args) -> int:
-    from . import crystal_ops
     ar = build_ar(parse_quiver(args.quiver))
     m = _load_module(ar, args.module)
+    from . import crystal_ops
     if args.pm_dot:
         from . import pm_graph
         g = pm_graph.build_pm(ar, crystal_ops.hom_poset(ar, args.i), m)

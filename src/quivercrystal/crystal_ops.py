@@ -208,8 +208,8 @@ def antichain_score(ar: ARQuiver, m: ModuleClass, i: int, v: Antichain) -> int:
     return sum(c for b, c in enumerate(contrib) if down >> b & 1)
 
 
-def _stats(p: HomPoset, m: ModuleClass) -> tuple[int, list[int]]:
-    """One score pass: the string statistic and the indices of its maximizers."""
+def _scores(p: HomPoset, m: ModuleClass) -> tuple[int, list[int]]:
+    """One score pass: the string statistic and the score of every antichain."""
     contrib = _contributions(p, m)
     scores = [0] * (len(p.plan) + 1)  # the last slot stays 0: the empty down-set
     for k, parent, b in p.plan:
@@ -218,12 +218,12 @@ def _stats(p: HomPoset, m: ModuleClass) -> tuple[int, list[int]]:
     best = max(scores)
     if best < 0:
         raise InvariantViolation("maximal antichain score is negative")
-    return best, [k for k, s in enumerate(scores) if s == best]
+    return best, scores
 
 
 def epsilon_i(ar: ARQuiver, m: ModuleClass, i: int) -> int:
     """The string statistic: the maximal antichain score, never negative."""
-    return _stats(hom_poset(ar, i), m)[0]
+    return _scores(hom_poset(ar, i), m)[0]
 
 
 def exchange_set(p: HomPoset, v: Antichain) -> tuple[Indec, ...]:
@@ -258,7 +258,8 @@ def _score_pass(
 ) -> tuple[int, ModuleClass | None, ModuleClass | None]:
     """epsilon_i(m), f_tilde(m) if f, e_tilde(m) if e (else None); reads m on the support only."""
     p = hom_poset(ar, i)
-    best, candidates = _stats(p, m)
+    best, scores = _scores(p, m)
+    candidates = [k for k, s in enumerate(scores) if s == best]
     lowered = _swap(p, m, _unique_extremum(p, candidates, maximal=True), 1) if f else None
     raised = _swap(p, m, _unique_extremum(p, candidates, maximal=False), -1) if e and best else None
     return best, lowered, raised

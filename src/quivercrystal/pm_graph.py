@@ -10,23 +10,28 @@ an independent route to the crystal string statistic.
 
 What depends on a poset alone is built once per `HomPoset`, from the Hom
 table and tau of the AR quiver rather than from the poset's own covers,
-and kept while the poset lives: the labels, the upper covers of each, the
-linear-extension and sink checks, the graph with every chain of length
-1, and pickers that read mu_B(M) for every label B and mu_{tau B}(M) for
-every non-projective one, each in one C call.  A graph whose counts are
-all at most 1 is that graph colored by `compress`: it shares its `succ`
-and `reach` tuples (immutable, as are their members) and copies `first`,
-`last` and `_names`, so no two graphs share a mutable container.  Any
-other graph lays its chains out by offsets in one sweep from the top
-label down.  The public constructor takes a white and a red count per
-label, each an int >= 0, and lays out through the same step.  A graph
-with no red node has one morphism, so `min_epsilon` returns its white
-count before the search guard.
+and kept while the poset lives: the labels, the upper covers and the
+up-closure of each, the linear-extension and sink checks, the unit chain
+offsets, and pickers that read mu_B(M) for every label B and mu_{tau B}(M)
+for every non-projective one, each in one C call.  A graph stores only its
+labels, sink, colors, red order and white targets (the whites each red may
+map to, read off its chain offsets and the label up-closures), and its
+layout: that skeleton, which holds no mutable container, and its chain
+offsets.  `succ`, `reach`, `_names`, `first` and `last` are laid out
+afresh on every read and never cached, so a caller binds each once.  The
+public constructor takes a white and a red count per label, each an
+int >= 0, and lays out through the same step.  A graph with no red node
+has one morphism, so `min_epsilon` returns its white count before the
+search guard.  The searches send each red to the sink within one frame and
+recurse only for the reds that take a white, so any number of reds with
+no white above them is searched; the guard's product bound keeps the
+others to about log2(limit).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from bisect import bisect_right
+from itertools import accumulate, chain, compress
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 from weakref import WeakKeyDictionary
@@ -58,7 +63,10 @@ class MultiplicityGraph:
 
     Nodes are integers.  Labels must be distinct and listed in a linear extension
     of the covers.  Each label's counts (ints >= 0, 0 if absent) give it a chain
-    max(1, white, red) long.  Nothing is written to the graph after construction.
+    max(1, white, red) long.  Stored: `labels`, `sink`, `white`, `red`,
+    `red_order`, `_white_targets` and the layout.  `succ`, `reach`, `_names`,
+    `first` and `last` are rebuilt from the layout on every read.  Nothing is
+    written to the graph after construction.
     """
 
     def __init__(self, labels: tuple, covers, white_counts: dict, red_counts: dict):
@@ -71,42 +79,78 @@ class MultiplicityGraph:
         self._lay_out(sk, whites, range(len(whites)), reds)
 
     def _lay_out(self, sk: tuple, whites, red_pos, reds):
-        """Nodes, edges and colors: a white count per label, a red count per position in
+        """Offsets and colors: a white count per label, a red count per position in
         `red_pos` (ascending); each chain is max(1, white, red) long."""
-        self.labels, pos, heads, names, succ, reach = sk
+        self._skeleton = sk
+        self.labels, _, ups, units = sk
         if max(whites + reds, default=0) < 2:
-            # Unit chains: the skeleton is this graph before coloring.
-            self._names, self.first, self.last = list(names), dict(pos), dict(pos)
-            self.succ, self.reach, self.sink = succ, reach, len(pos)
-            white = compress(range(len(pos)), whites)
-            red_order = tuple(compress(red_pos, reds))
+            firsts = units  # unit chains: the skeleton's offsets
         else:
-            colored_white = list(compress(enumerate(whites), whites))
-            colored_red = list(compress(zip(red_pos, reds), reds))
-            chain = [1] * len(pos)
-            for k, c in colored_white + colored_red:
-                chain[k] = max(chain[k], c)
-            firsts = [0, *accumulate(chain)]
-            self._names, self.first, self.last, self.succ, reach = _expand(sk[0], heads, firsts)
-            self.reach, self.sink = reach, firsts[-1]
-            white = [u for k, c in colored_white for u in range(firsts[k], firsts[k] + c)]
-            # Chains are numbered in label order, so reds come out ascending.
-            red_order = tuple(u for k, c in colored_red for u in range(firsts[k], firsts[k] + c))
-        self.white = white = frozenset(white)
-        self.red, self.red_order = frozenset(red_order), red_order
-        self._white_targets = {r: tuple(sorted(reach[r] & white)) for r in red_order}
+            lengths = [max(1, c) for c in whites]
+            for k, c in zip(red_pos, reds):
+                lengths[k] = max(lengths[k], c)
+            firsts = (0, *accumulate(lengths))
+        self._firsts, self.sink = firsts, firsts[-1]
+        # Label k's whites open its chain; the chain is numbered upward.
+        at = [()] * len(whites)
+        for k, c in compress(enumerate(whites), whites):
+            at[k] = range(firsts[k], firsts[k] + c)
+        self.white = frozenset(chain.from_iterable(at))
+        # Chains are numbered in label order, so reds come out ascending, and a
+        # red reaches the rest of its chain and every chain above its label.
+        red_order = []
+        targets = {}
+        for k, c in compress(zip(red_pos, reds), reds):
+            above = [w for j in ups[k] for w in at[j]]
+            top = firsts[k] + whites[k]
+            for r in range(firsts[k], firsts[k] + c):
+                red_order.append(r)
+                targets[r] = (*range(r, top), *above)
+        self.red_order = red_order = tuple(red_order)
+        self.red = frozenset(red_order)
+        self._white_targets = targets
+
+    def _expanded(self) -> tuple:
+        """`_names`, `succ` and `reach`, laid out afresh."""
+        labels, heads, _, _ = self._skeleton
+        return _expand(labels, heads, self._firsts)
+
+    @property
+    def _names(self) -> list:
+        """(label, position in its chain) per node; ("inf", 0) for the sink."""
+        return self._expanded()[0]
+
+    @property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted successors of each node."""
+        return self._expanded()[1]
+
+    @property
+    def reach(self) -> tuple[frozenset[int], ...]:
+        """The nodes each node reaches, itself included."""
+        return self._expanded()[2]
+
+    @property
+    def first(self) -> dict:
+        """The first node of each label's chain."""
+        return dict(zip(self.labels, self._firsts))
+
+    @property
+    def last(self) -> dict:
+        """The last node of each label's chain."""
+        return dict(zip(self.labels, [f - 1 for f in self._firsts[1:]]))
 
     @property
     def nodes(self) -> tuple[int, ...]:
-        return tuple(range(len(self._names)))
+        return tuple(range(self.sink + 1))
 
     def node_label(self, u: int):
-        return self._names[u][0]
+        return "inf" if u == self.sink else self.labels[bisect_right(self._firsts, u) - 1]
 
     def to_dot(self) -> str:
+        names, succ, _ = self._expanded()
         lines = ["digraph pm {", "  rankdir=LR;"]
-        for u in range(len(self._names)):
-            lab, p = self._names[u]
+        for u, (lab, p) in enumerate(names):
             name = "inf" if u == self.sink else f"{lab}({p})"
             # as a DOT quoted string: backslashes and double quotes escaped
             name = name.replace("\\", "\\\\").replace('"', '\\"')
@@ -119,16 +163,16 @@ class MultiplicityGraph:
             else:
                 style = "style=dashed"
             lines.append(f'  n{u} [label="{name}", {style}];')
-        for u in range(len(self._names)):
-            for v in self.succ[u]:
+        for u, vs in enumerate(succ):
+            for v in vs:
                 lines.append(f"  n{u} -> n{v};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
 def _skeleton(labels: tuple, covers) -> tuple:
-    """The labels, their positions (with unit chains also first and last nodes), the
-    sorted positions covering each, and the unit-chain graph's `_names`, `succ`, `reach`."""
+    """The labels, the sorted positions covering each and above each, and the unit
+    chain offsets, all immutable."""
     pos = {lab: k for k, lab in enumerate(labels)}
     if len(pos) < len(labels):
         repeated = next(lab for k, lab in enumerate(labels) if pos[lab] != k)
@@ -139,12 +183,14 @@ def _skeleton(labels: tuple, covers) -> tuple:
             raise DomainError("labels are not in a linear extension of the covers")
         heads[pos[a]].append(pos[b])
     heads_t = tuple(tuple(sorted(h)) for h in heads)
-    names, _, _, succ, reach = _expand(labels, heads_t, list(range(len(labels) + 1)))
-    return labels, pos, heads_t, tuple(names), succ, reach
+    units = tuple(range(len(labels) + 1))
+    reach = _expand(labels, heads_t, units)[2]
+    ups = tuple(tuple(sorted(reach[k] - {k, units[-1]})) for k in range(len(labels)))
+    return labels, heads_t, ups, units
 
 
-def _expand(labels: tuple, heads: tuple, firsts: list[int]):
-    """Nodes, first and last nodes, successors and reach of the chain-expanded graph.
+def _expand(labels: tuple, heads: tuple, firsts) -> tuple[list, tuple, tuple]:
+    """Nodes, successors and reach of the chain-expanded graph.
 
     Label k's chain runs from node firsts[k] to firsts[k + 1] - 1; the last
     entry of `firsts` is the sink.  One sweep from the top label down: a
@@ -156,14 +202,13 @@ def _expand(labels: tuple, heads: tuple, firsts: list[int]):
     names: list = [None] * n
     succ: list = [None] * n
     reach: list = [None] * n
-    lasts = [0] * len(labels)
     names[sink] = ("inf", 0)
     succ[sink] = ()
     reach[sink] = frozenset((sink,))
     for k in range(len(labels) - 1, -1, -1):
         lab = labels[k]
         first = firsts[k]
-        u = lasts[k] = firsts[k + 1] - 1
+        u = firsts[k + 1] - 1
         hs = heads[k]
         if hs:
             out = []
@@ -186,7 +231,7 @@ def _expand(labels: tuple, heads: tuple, firsts: list[int]):
             reach[u] = r = r | {u}
     if any(sink not in r for r in reach):
         raise InvariantViolation("sink not reachable from every node")
-    return names, dict(zip(labels, firsts)), dict(zip(labels, lasts)), tuple(succ), tuple(reach)
+    return names, tuple(succ), tuple(reach)
 
 
 # Per poset: its skeleton, and the pickers of mu_B(M) for every label B and of
@@ -250,24 +295,28 @@ def enumerate_morphisms(
 ) -> Iterator[AMorphism]:
     """All morphisms red -> white, each exactly once, in DFS order."""
     _guard_search_space(g, limit)
-    reds = g.red_order
+    return _morphisms([g._white_targets[r] for r in g.red_order], g.sink, [], set())
 
-    def rec(idx: int, chosen: list[int], used: set[int]) -> Iterator[AMorphism]:
-        if idx == len(reds):
-            yield AMorphism(tuple(chosen))
-            return
-        for w in g._white_targets[reds[idx]]:
+
+def _morphisms(targets: list, sink: int, chosen: list, used: set[int]) -> Iterator[AMorphism]:
+    """The morphisms that send the first len(chosen) reds to `chosen`.
+
+    `used` holds the whites in `chosen`.  Each further red takes a free white
+    among its targets or the sink, in that order.  The sink branch is taken in
+    this frame, so the recursion is only as deep as the reds that take a white.
+    """
+    start = len(chosen)
+    for red_targets in targets[start:]:
+        for w in red_targets:
             if w not in used:
                 chosen.append(w)
                 used.add(w)
-                yield from rec(idx + 1, chosen, used)
+                yield from _morphisms(targets, sink, chosen, used)
                 used.discard(w)
                 chosen.pop()
-        chosen.append(g.sink)
-        yield from rec(idx + 1, chosen, used)
-        chosen.pop()
-
-    return rec(0, [], set())
+        chosen.append(sink)
+    yield AMorphism(tuple(chosen))
+    del chosen[start:]
 
 
 def eps_of(g: MultiplicityGraph, phi: AMorphism) -> int:
@@ -283,28 +332,32 @@ def F_of_subset(g: MultiplicityGraph, nodes) -> int:
 
 def down_closure(g: MultiplicityGraph, nodes) -> frozenset[int]:
     """Everything at or below some node of the subset."""
-    s = frozenset(nodes)
-    return frozenset(u for u, up in enumerate(g.reach) if not up.isdisjoint(s))
+    return _down(g.reach, frozenset(nodes))
+
+
+def _down(reach: tuple, s: frozenset[int]) -> frozenset[int]:
+    return frozenset(u for u, up in enumerate(reach) if not up.isdisjoint(s))
 
 
 def closure_H(g: MultiplicityGraph, phi: AMorphism, nodes) -> frozenset[int]:
     """Least fixed point of V -> (phi(red below V) union V) downward-closed."""
     mapping = phi.mapping(g)
+    reach = g.reach
     cur = frozenset(nodes)
     while True:
-        moved = {mapping[r] for r in g.red & down_closure(g, cur)}
-        nxt = down_closure(g, moved | cur)
+        moved = {mapping[r] for r in g.red & _down(reach, cur)}
+        nxt = _down(reach, moved | cur)
         if nxt == cur:
             return cur
         cur = nxt
 
 
-def _image_pushes(g: MultiplicityGraph, src: frozenset[int], dst: frozenset[int]) -> bool:
+def _image_pushes(reach: tuple, sink: int, src: frozenset[int], dst: frozenset[int]) -> bool:
     """Whether some endomorphism of the whites carries src onto dst as sets."""
-    src_w = sorted(src - {g.sink})
-    dst_w = sorted(dst - {g.sink})
-    sink_in_src = g.sink in src
-    sink_in_dst = g.sink in dst
+    src_w = sorted(src - {sink})
+    dst_w = sorted(dst - {sink})
+    sink_in_src = sink in src
+    sink_in_dst = sink in dst
     spare = len(src_w) - len(dst_w)
     if spare < 0:
         return False
@@ -316,7 +369,7 @@ def _image_pushes(g: MultiplicityGraph, src: frozenset[int], dst: frozenset[int]
         return False
     # Injectively match every dst white to a src white below it; the
     # spare src whites go to the sink.
-    targets = [[k for k, w in enumerate(dst_w) if w in g.reach[s]] for s in src_w]
+    targets = [[k for k, w in enumerate(dst_w) if w in reach[s]] for s in src_w]
     taken = [False] * len(dst_w)
 
     def match(idx: int, matched: int) -> bool:
@@ -337,7 +390,7 @@ def _image_pushes(g: MultiplicityGraph, src: frozenset[int], dst: frozenset[int]
 
 def is_preceq(g: MultiplicityGraph, phi: AMorphism, psi: AMorphism) -> bool:
     """phi precedes psi when psi's image is phi's image pushed along paths."""
-    return _image_pushes(g, phi.image(g), psi.image(g))
+    return _image_pushes(g.reach, g.sink, phi.image(g), psi.image(g))
 
 
 def preceq_minimal_morphisms(
@@ -350,13 +403,14 @@ def preceq_minimal_morphisms(
     """
     morphs = tuple(enumerate_morphisms(g, limit))
     images = list(dict.fromkeys(phi.image(g) for phi in morphs))
+    reach, sink = g.reach, g.sink
     minimal = {
         img
         for img in images
         if not any(
             other != img
-            and _image_pushes(g, other, img)
-            and not _image_pushes(g, img, other)
+            and _image_pushes(reach, sink, other, img)
+            and not _image_pushes(reach, sink, img, other)
             for other in images
         )
     }
@@ -378,25 +432,29 @@ def min_epsilon(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
     if not reds:  # one morphism, which misses every white; the guard's bound is 1
         return n_white
     _guard_search_space(g, limit)
-    best = n_white
-    used: set[int] = set()
+    targets = g._white_targets
+    return _fewest_unmatched([targets[r] for r in reds], 0, n_white, set(), n_white)
 
-    def rec(idx: int, matched: int) -> None:
-        nonlocal best
-        remaining = len(reds) - idx
-        if n_white - matched - remaining >= best:
-            return
-        if idx == len(reds):
-            best = min(best, n_white - matched)
-            return
-        for w in g._white_targets[reds[idx]]:
+
+def _fewest_unmatched(targets: list, idx: int, unmatched: int, used: set[int], best: int) -> int:
+    """The least of `best` and the whites left unmatched when reds idx.. are placed too.
+
+    Reds before idx are placed, `unmatched` whites are left and `used` holds the
+    whites taken.  Each red takes a free white among its targets or the sink, in
+    that order; a branch stops once it cannot beat `best` even if every
+    remaining red matches.  The sink branch is taken in this frame, so the
+    recursion is only as deep as the reds that take a white.
+    """
+    n = len(targets)
+    while unmatched - (n - idx) < best:
+        if idx == n:
+            return unmatched
+        for w in targets[idx]:
             if w not in used:
                 used.add(w)
-                rec(idx + 1, matched + 1)
+                best = _fewest_unmatched(targets, idx + 1, unmatched - 1, used, best)
                 used.discard(w)
-        rec(idx + 1, matched)
-
-    rec(0, 0)
+        idx += 1  # the sink
     return best
 
 
@@ -417,6 +475,7 @@ def closure_antichain(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -
     closed = closure_H(g, phi, g.white - phi.image(g))
     if g.sink in closed:
         raise InvariantViolation("closure of a minimal morphism contains the sink")
-    maximal = [u for u in closed if g.reach[u] & closed == {u}]
+    reach = g.reach
+    maximal = [u for u in closed if reach[u] & closed == {u}]
     labels = sorted({g.node_label(u) for u in maximal})
     return Antichain(tuple(labels))

@@ -194,6 +194,16 @@ def test_epsilon_limit_applies_only_to_graphs_with_red_nodes(capsys):
     assert json.loads(out) == {"agree": True, "epsilon": 4, "geom": 4, "i": 2}
 
 
+def test_epsilon_answers_more_red_nodes_than_the_recursion_limit(capsys):
+    """1500 reds with no white above them: a search space of 1, once 1500 levels deep."""
+    code, out, err = run_cli(
+        capsys, "epsilon", "--quiver", "A3: 2->1, 2->3", "--module", '{"1,1,1":1500}',
+        "-i", "2", "--oracle", "geom", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"agree": True, "epsilon": 1500, "geom": 1500, "i": 2}
+
+
 def test_e8_orientation_validates_then_special_is_empty(capsys):
     spec = "E8: 1->2, 2->3, 3->4, 4->5, 5->6, 6->7, 3->8"
     code, out, _ = run_cli(capsys, "quiver", "validate", spec)

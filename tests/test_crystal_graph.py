@@ -184,8 +184,8 @@ def test_score_pass_budget(monkeypatch, spec, depth):
     (i, class restricted to the vertex-i elements and their tau translates, f-flag)."""
     distinct = {A3_MIDDLE: 80, "D4: 1->2, 2->3, 2->4": 86}[spec]
     passes = []
-    stats = crystal_ops._stats
-    monkeypatch.setattr(crystal_ops, "_stats", lambda p, m: passes.append(1) or stats(p, m))
+    scores = crystal_ops._scores
+    monkeypatch.setattr(crystal_ops, "_scores", lambda p, m: passes.append(1) or scores(p, m))
     ar = ar_of(spec)
     g = generate(ar, depth)
     triples = set()

@@ -114,6 +114,15 @@ def test_subcommands_import_only_what_they_use(name):
     assert ("quivercrystal.crystal_ops" in loaded) == (name in NEEDS_CRYSTAL_OPS), loaded
 
 
+@pytest.mark.parametrize("name", ["apply", "epsilon"])
+def test_a_bad_module_is_rejected_before_the_operators_load(name):
+    argv = [*COMMANDS[name]]
+    argv[argv.index(MODULE)] = '{"1,1,x":1}'
+    code, loaded = json.loads(run_fresh(LOADED_BY, *argv).splitlines()[-1])
+    assert code == 2
+    assert "quivercrystal.crystal_ops" not in loaded, loaded
+
+
 def test_importing_the_package_loads_no_submodule():
     out = run_fresh("import sys, quivercrystal; print(sorted(sys.modules))")
     assert "quivercrystal" in out and "quivercrystal." not in out

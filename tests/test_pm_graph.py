@@ -1,5 +1,8 @@
 import copy
+import gc
+import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -191,6 +194,22 @@ def test_min_epsilon_without_red_nodes_ignores_the_limit():
         assert min_epsilon(g) == epsilon_i(ar, m, 2)
 
 
+@pytest.mark.parametrize("search", [min_epsilon, lambda g: list(enumerate_morphisms(g))])
+def test_searches_leave_no_reference_cycle(search):
+    """With the cyclic collector off, the graph is freed as soon as the caller drops it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ar, m, g = worked_graph()
+        alive = weakref.ref(g)
+        assert search(g)
+        del g
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_min_epsilon_matches_exhaustive_enumeration():
     ar, m, g = worked_graph()
     assert min_epsilon(g) == min(eps_of(g, phi) for phi in enumerate_morphisms(g))
@@ -349,6 +368,8 @@ def test_resource_guard():
 def test_graph_is_not_written_after_construction():
     ar, m, g = worked_graph()
     before = copy.deepcopy(vars(g))
+    g.succ, g.reach, g._names, g.first, g.last, g.nodes, g.to_dot()
+    [g.node_label(u) for u in g.nodes]
     morphs = list(enumerate_morphisms(g))
     assert min_epsilon(g) == 2
     assert all(is_preceq(g, phi, phi) for phi in morphs)
@@ -413,9 +434,14 @@ def _by_definition(labels, covers, whites, reds):
     }
 
 
+# What a graph stores; succ, reach, _names, first and last are derived on read.
+STORED = {"labels", "sink", "white", "red", "red_order", "_white_targets", "_skeleton", "_firsts"}
+DERIVED = ("succ", "reach", "_names", "first", "last")
+
+
 def _assert_matches_definition(g, *inputs):
     want = _by_definition(*inputs)
-    assert vars(g).keys() == want.keys()
+    assert vars(g).keys() == STORED
     for name, value in want.items():
         assert getattr(g, name) == value, name
 
@@ -489,6 +515,8 @@ def test_build_pm_equals_the_graph_built_from_dicts(kind, rank):
                 {x: tm.mults[x] for x in labels},
             )
             assert vars(g) == vars(h), (m.mults, i)
+            for name in DERIVED:
+                assert getattr(g, name) == getattr(h, name), (m.mults, i, name)
             if g.sink == len(labels):
                 seen_unit += 1
             else:
@@ -550,3 +578,36 @@ def test_graphs_of_one_poset_share_no_mutable_attribute():
         assert vars(g1) == before
         for name in ("first", "last", "_names"):
             assert getattr(g1, name) is not getattr(g2, name), name
+
+
+def test_dot_output_is_unchanged(capsys):
+    """SHA-256 of the worked example's `epsilon --pm-dot` output and of the five-chain
+    graph's DOT text, both recorded before nodes and covers were derived on read."""
+    from quivercrystal.cli import main
+
+    code = main(["epsilon", "--quiver", A3_MIDDLE, "--module",
+                 '{"1,1,1":2,"1,0,0":1,"0,1,1":1,"0,1,0":1}', "-i", "2", "--pm-dot"])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "415e3118dfbdb9a121a2bcaadaff613b108fbbb52671b7ceb55fcc05fa02047d"
+    )
+    assert hashlib.sha256(five_chain_graph().to_dot().encode()).hexdigest() == (
+        "9e5f5b4ad7b298fb84f30bca5c5d644422784b7e570694b6d889d1e5002d68c0"
+    )
+
+
+def _reds_without_whites_above(n):
+    """n copies of (1,1,1) at vertex 2: n reds, none of them below a white."""
+    ar = ar_of(A3_MIDDLE)
+    m = module_from_dim_dict(ar, {(1, 1, 1): n})
+    g = build_pm(ar, hom_poset(ar, 2), m)
+    assert len(g.red_order) == n and not any(g._white_targets.values())
+    return ar, m, g
+
+
+def test_searches_answer_more_red_nodes_than_the_recursion_limit():
+    """Every red has only the sink to go to; a search that recursed once per red
+    would pass Python's recursion limit here."""
+    ar, m, g = _reds_without_whites_above(1500)
+    assert min_epsilon(g) == epsilon_i(ar, m, 2) == 1500
+    assert list(enumerate_morphisms(g)) == [AMorphism((g.sink,) * 1500)]

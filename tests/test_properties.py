@@ -80,7 +80,7 @@ def test_incremental_scores_equal_direct_sums(case):
         scores = [antichain_score(ar, m, i, v) for v in antichains(p)]
         best = max(scores)
         assert epsilon_i(ar, m, i) == best
-        assert crystal_ops._stats(p, m) == (best, [k for k, s in enumerate(scores) if s == best])
+        assert crystal_ops._scores(p, m) == (best, scores)
 
 
 @SETTINGS
