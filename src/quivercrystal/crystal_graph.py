@@ -133,6 +133,8 @@ def generate(
     """Lower breadth-first from zero, one score pass per distinct support restriction per call."""
     if depth < 0:
         raise DomainError("depth must be nonnegative")
+    if max_vertices < 1:  # the root alone exceeds it
+        raise ResourceLimitError(f"vertex budget {max_vertices} exceeded at depth 0")
     n = ar.rank
     passes = _passes_by_support(ar, e=False)
     columns = [None, *zip(*cartan_matrix(ar.quiver))]
@@ -176,29 +178,29 @@ def kostant_count(q: Quiver, beta: DimVector) -> int:
     if any(b < 0 for b in beta):
         raise DomainError(f"{beta} has a negative entry")
     roots = sorted(positive_roots(q), key=lambda r: (-sum(r), r))
-    memo: dict[tuple[int, DimVector], int] = {}
+    return _count(roots, {}, 0, tuple(beta))
 
-    def count(idx: int, rem: DimVector) -> int:
-        if not any(rem):
-            return 1
-        if idx == len(roots):
-            return 0
-        state = (idx, rem)
-        if state in memo:
-            return memo[state]
-        r = roots[idx]
-        total = 0
-        cur = rem
-        while True:
-            total += count(idx + 1, cur)
-            if all(c >= x for c, x in zip(cur, r)):
-                cur = tuple(c - x for c, x in zip(cur, r))
-            else:
-                break
-        memo[state] = total
-        return total
 
-    return count(0, tuple(beta))
+def _count(roots: list, memo: dict, idx: int, rem: DimVector) -> int:
+    """Ways to write rem as a sum of roots[idx:] with repetition; memo keys (idx, rem)."""
+    if not any(rem):
+        return 1
+    if idx == len(roots):
+        return 0
+    state = (idx, rem)
+    if state in memo:
+        return memo[state]
+    r = roots[idx]
+    total = 0
+    cur = rem
+    while True:
+        total += _count(roots, memo, idx + 1, cur)
+        if all(c >= x for c, x in zip(cur, r)):
+            cur = tuple(c - x for c, x in zip(cur, r))
+        else:
+            break
+    memo[state] = total
+    return total
 
 
 class CheckReport(_Record):

@@ -94,15 +94,7 @@ class HomPoset:
         )
         chains: list[tuple[int, ...]] = []
         downs: list[int] = []
-
-        def extend(start: int, chosen: tuple[int, ...], mask: int, down: int) -> None:
-            for k in range(start, n):
-                if not (below[k] & mask or down >> k & 1):
-                    chains.append(chosen + (k,))
-                    downs.append(down | below[k])
-                    extend(k + 1, chains[-1], mask | 1 << k, downs[-1])
-
-        extend(0, (), 0, 0)
+        _extend(below, chains, downs, 0, (), 0, 0)
         self.antichains = tuple(
             Antichain(tuple(self.element_ids[k] for k in ch)) for ch in chains
         )
@@ -157,6 +149,17 @@ class HomPoset:
             return self._index[tuple(sorted(v.members))]
         except KeyError:
             raise DomainError(f"{v} is not an antichain of this poset") from None
+
+
+def _extend(below: list[int], chains: list, downs: list, start: int, chosen: tuple[int, ...],
+            mask: int, down: int) -> None:
+    """Append, depth first, each antichain that adds positions >= start to `chosen`
+    (members `mask`, down-set `down`) and its down-set mask."""
+    for k in range(start, len(below)):
+        if not (below[k] & mask or down >> k & 1):
+            chains.append(chosen + (k,))
+            downs.append(down | below[k])
+            _extend(below, chains, downs, k + 1, chains[-1], mask | 1 << k, downs[-1])
 
 
 # Vertex tables by AR quiver, each built on first use.  The keys are weak

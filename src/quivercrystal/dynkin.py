@@ -37,18 +37,6 @@ class Diagram(NamedTuple):
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return _adjacency(self).get(v, ())
-
-
-@lru_cache(maxsize=None)
-def _adjacency(diag: Diagram) -> dict[int, tuple[int, ...]]:
-    """Sorted neighbours of each vertex, derived from the edges once per diagram."""
-    return {
-        v: tuple(sorted(b if a == v else a for a, b in diag.edges if v in (a, b)))
-        for v in range(1, diag.rank + 1)
-    }
-
 
 def diagram(letter: str, rank: int) -> Diagram:
     """Build the standard diagram of the given type, validating type and rank."""
@@ -232,7 +220,7 @@ def positive_roots(q: Quiver | Diagram) -> tuple[DimVector, ...]:
     """
     diag = _diagram_of(q)
     n = diag.rank
-    adj = {v: diag.neighbors(v) for v in range(1, n + 1)}
+    adj = {v: [b if a == v else a for a, b in diag.edges if v in (a, b)] for v in range(1, n + 1)}
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set(simples)
     frontier = list(simples)

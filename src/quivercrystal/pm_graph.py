@@ -15,17 +15,19 @@ up-closure of each, the linear-extension and sink checks, the unit chain
 offsets, and pickers that read mu_B(M) for every label B and mu_{tau B}(M)
 for every non-projective one, each in one C call.  A graph stores only its
 labels, sink, colors, red order and white targets (the whites each red may
-map to, read off its chain offsets and the label up-closures), and its
-layout: that skeleton, which holds no mutable container, and its chain
-offsets.  `succ`, `reach`, `_names`, `first` and `last` are laid out
-afresh on every read and never cached, so a caller binds each once.  The
-public constructor takes a white and a red count per label, each an
-int >= 0, and lays out through the same step.  A graph with no red node
-has one morphism, so `min_epsilon` returns its white count before the
-search guard.  The searches send each red to the sink within one frame and
-recurse only for the reds that take a white, so any number of reds with
-no white above them is searched; the guard's product bound keeps the
-others to about log2(limit).
+map to, read off its chain offsets and the label up-closures), that
+skeleton, which holds no mutable container, and its chain offsets.
+`layout()` builds the node names, successors and reach sets from these in
+one O(nodes) sweep on every call and caches nothing, so each reader calls
+it once; `reach` is a one-line alias of its third part, kept because the
+benchmark tracer reads it.  The public constructor takes a white and a red
+count per label, each an int >= 0, and lays out through the same step.  A
+graph with no red node has one morphism, so `min_epsilon` returns its white
+count before the search guard.  The searches, and the preorder's matching,
+send each red (or source white) to the sink within one frame and recurse
+only for those that take a white, so any number of reds with no white
+above them is searched; the guard's product bound keeps the others to
+about log2(limit).
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ class MultiplicityGraph:
     Nodes are integers.  Labels must be distinct and listed in a linear extension
     of the covers.  Each label's counts (ints >= 0, 0 if absent) give it a chain
     max(1, white, red) long.  Stored: `labels`, `sink`, `white`, `red`,
-    `red_order`, `_white_targets` and the layout.  `succ`, `reach`, `_names`,
-    `first` and `last` are rebuilt from the layout on every read.  Nothing is
-    written to the graph after construction.
+    `red_order`, `_white_targets`, the poset skeleton and the chain offsets.
+    `layout()` lays out names, successors and reach afresh on each call.
+    Nothing is written to the graph after construction.
     """
 
     def __init__(self, labels: tuple, covers, white_counts: dict, red_counts: dict):
@@ -110,35 +112,16 @@ class MultiplicityGraph:
         self.red = frozenset(red_order)
         self._white_targets = targets
 
-    def _expanded(self) -> tuple:
-        """`_names`, `succ` and `reach`, laid out afresh."""
+    def layout(self) -> tuple[list, tuple, tuple]:
+        """(names, succ, reach) from the offsets in one O(nodes) sweep, never cached.
+
+        names[u] is (label, position in its chain), ("inf", 0) at the sink; succ[u]
+        the sorted successors of u; reach[u] the nodes u reaches, u included.
+        """
         labels, heads, _, _ = self._skeleton
         return _expand(labels, heads, self._firsts)
 
-    @property
-    def _names(self) -> list:
-        """(label, position in its chain) per node; ("inf", 0) for the sink."""
-        return self._expanded()[0]
-
-    @property
-    def succ(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted successors of each node."""
-        return self._expanded()[1]
-
-    @property
-    def reach(self) -> tuple[frozenset[int], ...]:
-        """The nodes each node reaches, itself included."""
-        return self._expanded()[2]
-
-    @property
-    def first(self) -> dict:
-        """The first node of each label's chain."""
-        return dict(zip(self.labels, self._firsts))
-
-    @property
-    def last(self) -> dict:
-        """The last node of each label's chain."""
-        return dict(zip(self.labels, [f - 1 for f in self._firsts[1:]]))
+    reach = property(lambda self: self.layout()[2])  # read by perfbench/tracing.py only
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -148,7 +131,7 @@ class MultiplicityGraph:
         return "inf" if u == self.sink else self.labels[bisect_right(self._firsts, u) - 1]
 
     def to_dot(self) -> str:
-        names, succ, _ = self._expanded()
+        names, succ, _ = self.layout()
         lines = ["digraph pm {", "  rankdir=LR;"]
         for u, (lab, p) in enumerate(names):
             name = "inf" if u == self.sink else f"{lab}({p})"
@@ -332,7 +315,7 @@ def F_of_subset(g: MultiplicityGraph, nodes) -> int:
 
 def down_closure(g: MultiplicityGraph, nodes) -> frozenset[int]:
     """Everything at or below some node of the subset."""
-    return _down(g.reach, frozenset(nodes))
+    return _down(g.layout()[2], frozenset(nodes))
 
 
 def _down(reach: tuple, s: frozenset[int]) -> frozenset[int]:
@@ -342,7 +325,7 @@ def _down(reach: tuple, s: frozenset[int]) -> frozenset[int]:
 def closure_H(g: MultiplicityGraph, phi: AMorphism, nodes) -> frozenset[int]:
     """Least fixed point of V -> (phi(red below V) union V) downward-closed."""
     mapping = phi.mapping(g)
-    reach = g.reach
+    reach = g.layout()[2]
     cur = frozenset(nodes)
     while True:
         moved = {mapping[r] for r in g.red & _down(reach, cur)}
@@ -356,41 +339,36 @@ def _image_pushes(reach: tuple, sink: int, src: frozenset[int], dst: frozenset[i
     """Whether some endomorphism of the whites carries src onto dst as sets."""
     src_w = sorted(src - {sink})
     dst_w = sorted(dst - {sink})
-    sink_in_src = sink in src
-    sink_in_dst = sink in dst
     spare = len(src_w) - len(dst_w)
-    if spare < 0:
+    # The spare src whites go to the sink, so it is in dst exactly when it is in
+    # src or some src white is spare.
+    if not (spare >= 0 and (sink in dst) == (sink in src or spare > 0)):
         return False
-    if sink_in_src and not sink_in_dst:
-        return False
-    if spare > 0 and not sink_in_dst:
-        return False
-    if sink_in_dst and not sink_in_src and spare == 0:
-        return False
-    # Injectively match every dst white to a src white below it; the
-    # spare src whites go to the sink.
     targets = [[k for k, w in enumerate(dst_w) if w in reach[s]] for s in src_w]
-    taken = [False] * len(dst_w)
+    return _covers(targets, [False] * len(dst_w), 0, len(dst_w))
 
-    def match(idx: int, matched: int) -> bool:
-        if matched == len(dst_w):
-            return True
-        if idx == len(src_w) or len(src_w) - idx < len(dst_w) - matched:
-            return False
+
+def _covers(targets: list, taken: list, idx: int, need: int) -> bool:
+    """Whether src whites idx.. can injectively take `need` more dst whites.
+
+    `targets[s]` lists the dst whites above src white s, and `taken` marks the
+    dst whites matched so far.  A src white that takes none goes to the sink
+    within this frame, so the recursion is only as deep as the matches.
+    """
+    while 0 < need <= len(targets) - idx:
         for k in targets[idx]:
             if not taken[k]:
                 taken[k] = True
-                if match(idx + 1, matched + 1):
+                if _covers(targets, taken, idx + 1, need - 1):
                     return True
                 taken[k] = False
-        return match(idx + 1, matched)
-
-    return match(0, 0)
+        idx += 1  # the sink
+    return need == 0
 
 
 def is_preceq(g: MultiplicityGraph, phi: AMorphism, psi: AMorphism) -> bool:
     """phi precedes psi when psi's image is phi's image pushed along paths."""
-    return _image_pushes(g.reach, g.sink, phi.image(g), psi.image(g))
+    return _image_pushes(g.layout()[2], g.sink, phi.image(g), psi.image(g))
 
 
 def preceq_minimal_morphisms(
@@ -403,7 +381,7 @@ def preceq_minimal_morphisms(
     """
     morphs = tuple(enumerate_morphisms(g, limit))
     images = list(dict.fromkeys(phi.image(g) for phi in morphs))
-    reach, sink = g.reach, g.sink
+    reach, sink = g.layout()[2], g.sink
     minimal = {
         img
         for img in images
@@ -475,7 +453,7 @@ def closure_antichain(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -
     closed = closure_H(g, phi, g.white - phi.image(g))
     if g.sink in closed:
         raise InvariantViolation("closure of a minimal morphism contains the sink")
-    reach = g.reach
+    reach = g.layout()[2]
     maximal = [u for u in closed if reach[u] & closed == {u}]
     labels = sorted({g.node_label(u) for u in maximal})
     return Antichain(tuple(labels))

@@ -237,12 +237,13 @@ def test_criterion_6_minimal_morphism_antichains():
             g = build_pm(ar, hom_poset(ar, i), m)
             minimal = preceq_minimal_morphisms(g)
             assert minimal
+            names, _, reach = g.layout()
             carried = set()
             for phi in minimal:
                 closed = closure_H(g, phi, g.white - phi.image(g))
                 assert g.sink not in closed
                 assert F_of_subset(g, closed) == eps_of(g, phi) == eps
-                maximal = [u for u in closed if g.reach[u] & closed == {u}]
+                maximal = [u for u in closed if reach[u] & closed == {u}]
                 carried.add(tuple(sorted({g.node_label(u) for u in maximal})))
             assert len(carried) == 1
             v = closure_antichain(g)
@@ -256,7 +257,7 @@ def test_criterion_6_minimal_morphism_antichains():
             # each member is left unmatched by some morphism attaining eps
             all_morphs = None
             for b in v.members:
-                copies = {g.first[b] + p for p in range(m.mults[b])}
+                copies = {names.index((b, p + 1)) for p in range(m.mults[b])}
                 if any(copies - phi.image(g) for phi in minimal):
                     continue
                 if all_morphs is None:
@@ -289,7 +290,8 @@ def test_criterion_7_worked_instance():
         == '{"0,0,1":1,"0,1,0":1,"0,1,1":1,"1,0,0":2,"1,1,1":1}'
     )
     g = build_pm(ar, hom_poset(ar, 2), m)
-    assert [g.last[l] - g.first[l] + 1 for l in g.labels] == [2, 1, 1, 2]
+    names = g.layout()[0]
+    assert [sum(lab == l for lab, _ in names) for l in g.labels] == [2, 1, 1, 2]
     assert [ar.indecs[l].dim for l in g.labels] == [
         (1, 1, 1),
         (0, 1, 1),

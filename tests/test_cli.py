@@ -183,6 +183,15 @@ def test_epsilon_resource_limit(capsys):
     assert code == 3 and "resource" in err
 
 
+@pytest.mark.parametrize("command", ["graph", "check"])
+def test_vertex_budget_zero_refuses_the_root(capsys, command):
+    code, out, err = run_cli(capsys, command, "--quiver", "A1", "--depth", "0", "--max-vertices", "0")
+    assert code == 3 and out == ""
+    assert err == "resource limit: vertex budget 0 exceeded at depth 0\n"
+    code, _, _ = run_cli(capsys, command, "--quiver", "A1", "--depth", "0", "--max-vertices", "1")
+    assert code == 0
+
+
 def test_epsilon_limit_applies_only_to_graphs_with_red_nodes(capsys):
     """--limit 1 refuses the pinned class, whose graph has red nodes, and
     answers one whose vertex-2 graph has none."""

@@ -411,6 +411,18 @@ def test_graph_from_json_rejects_malformed_documents():
 def test_vertex_budget():
     with pytest.raises(ResourceLimitError):
         generate(ar_of(A3_MIDDLE), 5, max_vertices=10)
+    # A budget of exactly the vertex count passes.
+    assert len(generate(ar_of(A3_MIDDLE), 3, max_vertices=29).vertices) == 29
+    with pytest.raises(ResourceLimitError, match="budget 28 exceeded at depth 3"):
+        generate(ar_of(A3_MIDDLE), 3, max_vertices=28)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_vertex_budget_below_one_refuses_the_root(depth):
+    for budget in (0, -1):
+        with pytest.raises(ResourceLimitError, match=f"budget {budget} exceeded at depth 0"):
+            generate(ar_of(A3_MIDDLE), depth, max_vertices=budget)
+    assert len(generate(ar_of(A3_MIDDLE), 0, max_vertices=1).vertices) == 1
 
 
 def test_epsilon_increment_along_edges():

@@ -1,5 +1,6 @@
 """The package surface: lazy exports, per-subcommand imports, defaults, value types."""
 
+import ast
 import inspect
 import json
 import os
@@ -186,6 +187,29 @@ def test_each_default_bound_is_defined_once():
     assert parsed("graph", "--quiver", "A1:", "--depth", "1").max_vertices == budget
     check = parsed("check", "--quiver", "A1:")
     assert (check.limit, check.max_vertices) == (limit, budget)
+
+
+def self_referring_nested_functions(root: Path) -> list[str]:
+    """'module.outer.inner' for each function nested in another that names itself.
+
+    Such a function refers to itself through its closure cell, so every call of the
+    outer one leaves a reference cycle for the cyclic collector.
+    """
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                    found.add(f"{path.stem}.{outer.name}.{inner.name}")
+    return sorted(found)
+
+
+def test_no_nested_function_refers_to_itself():
+    assert self_referring_nested_functions(SRC / "quivercrystal") == []
 
 
 # -- value types ---------------------------------------------------------------

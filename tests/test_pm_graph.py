@@ -10,6 +10,7 @@ from conftest import A3_MIDDLE, ar_of
 from quivercrystal import (
     AMorphism,
     DomainError,
+    HomPoset,
     MultiplicityGraph,
     ResourceLimitError,
     build_pm,
@@ -25,6 +26,7 @@ from quivercrystal import (
     hom_poset,
     is_preceq,
     is_preceq_minimal,
+    kostant_count,
     min_epsilon,
     module_from_dim_dict,
     preceq_minimal_morphisms,
@@ -50,12 +52,21 @@ def five_chain_graph():
 
 
 def node(g, label, pos):
-    return g.first[label] + pos - 1
+    return g.layout()[0].index((label, pos))
+
+
+def derived(g):
+    """The layout, with the first and last node of each label's chain read off its names."""
+    names, succ, reach = g.layout()
+    first = {lab: names.index((lab, 1)) for lab in g.labels}
+    last = {lab: u for u, (lab, _) in enumerate(names[:-1])}
+    return {"_names": names, "succ": succ, "reach": reach, "first": first, "last": last}
 
 
 def test_worked_chain_lengths():
     ar, m, g = worked_graph()
-    assert [g.last[l] - g.first[l] + 1 for l in g.labels] == [2, 1, 1, 2]
+    names = g.layout()[0]
+    assert [sum(lab == l for lab, _ in names) for l in g.labels] == [2, 1, 1, 2]
     dims = [str(ar.indecs[l]) for l in g.labels]
     assert dims == ["(1,1,1)", "(0,1,1)", "(1,1,0)", "(0,1,0)"]
     assert len(g.white) == 4 and len(g.red) == 3
@@ -194,17 +205,36 @@ def test_min_epsilon_without_red_nodes_ignores_the_limit():
         assert min_epsilon(g) == epsilon_i(ar, m, 2)
 
 
-@pytest.mark.parametrize("search", [min_epsilon, lambda g: list(enumerate_morphisms(g))])
+def hom_poset_build(g):
+    return HomPoset(ar_of(A3_MIDDLE), 2)
+
+
+def kostant_count_222(g):
+    return kostant_count(ar_of(A3_MIDDLE).quiver, (2, 2, 2))
+
+
+def is_preceq_on_each_pair(g):
+    morphs = list(enumerate_morphisms(g))
+    return [is_preceq(g, phi, psi) for phi in morphs for psi in morphs]
+
+
+@pytest.mark.parametrize("search", [
+    min_epsilon, lambda g: list(enumerate_morphisms(g)), hom_poset_build, kostant_count_222,
+    is_preceq_on_each_pair, preceq_minimal_morphisms, closure_antichain,
+])
 def test_searches_leave_no_reference_cycle(search):
-    """With the cyclic collector off, the graph is freed as soon as the caller drops it."""
+    """With the cyclic collector off, the graph is freed as soon as the caller drops it,
+    and the collector then finds nothing unreachable."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         ar, m, g = worked_graph()
+        gc.collect()
         alive = weakref.ref(g)
         assert search(g)
         del g
         assert alive() is None
+        assert gc.collect() == 0
     finally:
         if was_enabled:
             gc.enable()
@@ -269,12 +299,13 @@ def test_closure_antichain_same_for_all_minimal_morphisms():
     g = five_chain_graph()
     minimal = preceq_minimal_morphisms(g)
     assert minimal
+    reach = g.layout()[2]
     results = set()
     for phi in minimal:
         closed = closure_H(g, phi, g.white - phi.image(g))
         assert g.sink not in closed
         assert F_of_subset(g, closed) == eps_of(g, phi)
-        maximal = [u for u in closed if g.reach[u] & closed == {u}]
+        maximal = [u for u in closed if reach[u] & closed == {u}]
         results.add(tuple(sorted({g.node_label(u) for u in maximal})))
     assert results == {("B3", "B4", "B5")}
 
@@ -368,7 +399,8 @@ def test_resource_guard():
 def test_graph_is_not_written_after_construction():
     ar, m, g = worked_graph()
     before = copy.deepcopy(vars(g))
-    g.succ, g.reach, g._names, g.first, g.last, g.nodes, g.to_dot()
+    laid_out = g.layout()
+    g.reach, g.nodes, g.to_dot()
     [g.node_label(u) for u in g.nodes]
     morphs = list(enumerate_morphisms(g))
     assert min_epsilon(g) == 2
@@ -378,6 +410,12 @@ def test_graph_is_not_written_after_construction():
     closure_H(g, minimal[0], g.white - minimal[0].image(g))
     closure_antichain(g)
     assert vars(g) == before
+    assert g.layout() == laid_out
+
+
+def test_reach_is_the_third_part_of_the_layout():
+    for g in (worked_graph()[2], five_chain_graph(), MultiplicityGraph((), (), {}, {})):
+        assert g.reach == g.layout()[2]
 
 
 def test_labels_must_extend_covers():
@@ -434,16 +472,16 @@ def _by_definition(labels, covers, whites, reds):
     }
 
 
-# What a graph stores; succ, reach, _names, first and last are derived on read.
+# What a graph stores; names, succ and reach come from layout(), first and last from the names.
 STORED = {"labels", "sink", "white", "red", "red_order", "_white_targets", "_skeleton", "_firsts"}
-DERIVED = ("succ", "reach", "_names", "first", "last")
 
 
 def _assert_matches_definition(g, *inputs):
     want = _by_definition(*inputs)
     assert vars(g).keys() == STORED
+    got = derived(g)
     for name, value in want.items():
-        assert getattr(g, name) == value, name
+        assert (got[name] if name in got else getattr(g, name)) == value, name
 
 
 @pytest.mark.parametrize("kind,rank", [("D", 5), ("E", 6), ("E", 7)])
@@ -515,8 +553,7 @@ def test_build_pm_equals_the_graph_built_from_dicts(kind, rank):
                 {x: tm.mults[x] for x in labels},
             )
             assert vars(g) == vars(h), (m.mults, i)
-            for name in DERIVED:
-                assert getattr(g, name) == getattr(h, name), (m.mults, i, name)
+            assert g.layout() == h.layout(), (m.mults, i)
             if g.sink == len(labels):
                 seen_unit += 1
             else:
@@ -552,8 +589,10 @@ def test_bad_input_raises_on_every_call():
 
 def test_empty_graph_is_one_sink():
     g = MultiplicityGraph((), (), {}, {})
-    assert g.nodes == (0,) and g.sink == 0 and g.succ == ((),) and g.reach == (frozenset({0}),)
-    assert g.labels == () and g.first == g.last == {} and g.node_label(0) == "inf"
+    _, succ, reach = g.layout()
+    assert g.nodes == (0,) and g.sink == 0 and succ == ((),) and reach == (frozenset({0}),)
+    d = derived(g)
+    assert g.labels == () and d["first"] == d["last"] == {} and g.node_label(0) == "inf"
     assert g.white == g.red == frozenset() and g.red_order == () and g._white_targets == {}
     assert min_epsilon(g) == 0
 
@@ -576,8 +615,8 @@ def test_graphs_of_one_poset_share_no_mutable_attribute():
         before = copy.deepcopy(vars(g1))
         g2 = build_pm(ar, p, m2)
         assert vars(g1) == before
-        for name in ("first", "last", "_names"):
-            assert getattr(g1, name) is not getattr(g2, name), name
+        for part, other in zip(g1.layout(), g2.layout()):
+            assert part is not other
 
 
 def test_dot_output_is_unchanged(capsys):
