@@ -368,14 +368,14 @@ def module_from_json(ar: ARQuiver, text: str) -> ModuleClass:
     mults = _read_canonical(ar, text, {})
     if mults is not None:
         return ModuleClass._make((mults,))
-    try:
-        obj = json.loads(text)
+    try:  # objects as tuples of their entries in order, so a repeated name is read each time
+        obj = json.loads(text, object_pairs_hook=tuple)
     except (RecursionError, ValueError) as exc:  # ValueError: JSONDecodeError, over-long ints
         raise QuiverParseError(f"bad module JSON: {exc}") from exc
-    if not isinstance(obj, dict):
+    if type(obj) is not tuple:  # arrays decode as lists
         raise QuiverParseError("module JSON must be an object")
     counts: dict[DimVector, int] = {}
-    for key, val in obj.items():
+    for key, val in obj:
         if type(val) is not int:  # rejects floats, strings and booleans alike
             raise QuiverParseError(f"bad module entry {key!r}: {val!r}")
         try:

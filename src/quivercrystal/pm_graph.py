@@ -13,21 +13,17 @@ table and tau of the AR quiver rather than from the poset's own covers,
 and kept while the poset lives: the labels, the upper covers and the
 up-closure of each, the linear-extension and sink checks, the unit chain
 offsets, and pickers that read mu_B(M) for every label B and mu_{tau B}(M)
-for every non-projective one, each in one C call.  A graph stores only its
-labels, sink, colors, red order and white targets (the whites each red may
-map to, read off its chain offsets and the label up-closures), that
-skeleton, which holds no mutable container, and its chain offsets.
-`layout()` builds the node names, successors and reach sets from these in
-one O(nodes) sweep on every call and caches nothing, so each reader calls
-it once; `reach` is a one-line alias of its third part, kept because the
-benchmark tracer reads it.  The public constructor takes a white and a red
-count per label, each an int >= 0, and lays out through the same step.  A
-graph with no red node has one morphism, so `min_epsilon` returns its white
-count before the search guard.  The searches, and the preorder's matching,
-send each red (or source white) to the sink within one frame and recurse
-only for those that take a white, so any number of reds with no white
-above them is searched; the guard's product bound keeps the others to
-about log2(limit).
+for every non-projective one, each in one C call.  A graph stores that
+skeleton, its labels, the white count of each label and the red count of
+each label that has reds: nothing per node, so `build_pm` is O(labels).
+`colors()` derives the chain offsets, white set and red order, `layout()`
+the node names, successors and reach sets; neither caches, so each reader
+calls one once.  `sink`, `white`, `red`, `red_order` and `reach` alias
+their parts because the benchmark tracer reads them.  The search guard
+decides from the counts, and only a graph that passes it gets its white
+targets.  The searches, and the preorder's matching, send each red (or
+source white) to the sink within one frame and recurse only for those
+that take a white, so the recursion is about log2(limit) deep.
 """
 
 from __future__ import annotations
@@ -65,52 +61,43 @@ class MultiplicityGraph:
 
     Nodes are integers.  Labels must be distinct and listed in a linear extension
     of the covers.  Each label's counts (ints >= 0, 0 if absent) give it a chain
-    max(1, white, red) long.  Stored: `labels`, `sink`, `white`, `red`,
-    `red_order`, `_white_targets`, the poset skeleton and the chain offsets.
-    `layout()` lays out names, successors and reach afresh on each call.
-    Nothing is written to the graph after construction.
+    max(1, white, red) long.  Stored: `labels`, the poset skeleton, `_whites` (a
+    count per label) and `_reds` (position -> count, for labels with reds); the
+    rest is derived per call.  Nothing is written to the graph after construction.
     """
 
     def __init__(self, labels: tuple, covers, white_counts: dict, red_counts: dict):
         sk = _skeleton(tuple(labels), covers)
-        whites = [white_counts.get(lab, 0) for lab in sk[0]]
+        whites = tuple([white_counts.get(lab, 0) for lab in sk[0]])
         reds = [red_counts.get(lab, 0) for lab in sk[0]]
         for lab, c in [*zip(sk[0], whites), *zip(sk[0], reds)]:
             if type(c) is not int or c < 0:
                 raise DomainError(f"color count {c!r} at {lab!r} is not an integer >= 0")
-        self._lay_out(sk, whites, range(len(whites)), reds)
+        self._store(sk, whites, range(len(reds)), reds)
 
-    def _lay_out(self, sk: tuple, whites, red_pos, reds):
-        """Offsets and colors: a white count per label, a red count per position in
-        `red_pos` (ascending); each chain is max(1, white, red) long."""
+    def _store(self, sk: tuple, whites: tuple, red_pos, reds):
+        """A white count per label, a red count per position in `red_pos` (ascending)."""
         self._skeleton = sk
-        self.labels, _, ups, units = sk
-        if max(whites + reds, default=0) < 2:
-            firsts = units  # unit chains: the skeleton's offsets
-        else:
-            lengths = [max(1, c) for c in whites]
-            for k, c in zip(red_pos, reds):
-                lengths[k] = max(lengths[k], c)
-            firsts = (0, *accumulate(lengths))
-        self._firsts, self.sink = firsts, firsts[-1]
-        # Label k's whites open its chain; the chain is numbered upward.
-        at = [()] * len(whites)
-        for k, c in compress(enumerate(whites), whites):
-            at[k] = range(firsts[k], firsts[k] + c)
-        self.white = frozenset(chain.from_iterable(at))
-        # Chains are numbered in label order, so reds come out ascending, and a
-        # red reaches the rest of its chain and every chain above its label.
-        red_order = []
-        targets = {}
-        for k, c in compress(zip(red_pos, reds), reds):
-            above = [w for j in ups[k] for w in at[j]]
-            top = firsts[k] + whites[k]
-            for r in range(firsts[k], firsts[k] + c):
-                red_order.append(r)
-                targets[r] = (*range(r, top), *above)
-        self.red_order = red_order = tuple(red_order)
-        self.red = frozenset(red_order)
-        self._white_targets = targets
+        self.labels = sk[0]
+        self._whites = whites
+        self._reds = dict(compress(zip(red_pos, reds), reds))
+
+    def _offsets(self) -> tuple:
+        """The first node of each label's chain, then the sink."""
+        if max((*self._whites, *self._reds.values()), default=0) < 2:
+            return self._skeleton[3]  # unit chains: the skeleton's offsets
+        lengths = [max(1, c) for c in self._whites]
+        for k, c in self._reds.items():
+            lengths[k] = max(lengths[k], c)
+        return (0, *accumulate(lengths))
+
+    def colors(self) -> tuple[tuple, frozenset, tuple]:
+        """(offsets, white, red_order), never cached: label k's whites and reds each open
+        its chain, which starts at offsets[k], so reds come out ascending."""
+        firsts = self._offsets()
+        white = (range(firsts[k], firsts[k] + c) for k, c in enumerate(self._whites))
+        reds = (range(firsts[k], firsts[k] + c) for k, c in self._reds.items())
+        return firsts, frozenset(chain.from_iterable(white)), tuple(chain.from_iterable(reds))
 
     def layout(self) -> tuple[list, tuple, tuple]:
         """(names, succ, reach) from the offsets in one O(nodes) sweep, never cached.
@@ -118,30 +105,35 @@ class MultiplicityGraph:
         names[u] is (label, position in its chain), ("inf", 0) at the sink; succ[u]
         the sorted successors of u; reach[u] the nodes u reaches, u included.
         """
-        labels, heads, _, _ = self._skeleton
-        return _expand(labels, heads, self._firsts)
+        return _expand(self.labels, self._skeleton[1], self._offsets())
 
-    reach = property(lambda self: self.layout()[2])  # read by perfbench/tracing.py only
+    # Aliases that derive afresh on each read, kept because perfbench/tracing.py reads them.
+    sink = property(lambda self: self._offsets()[-1])
+    white = property(lambda self: self.colors()[1])
+    red = property(lambda self: frozenset(self.colors()[2]))
+    red_order = property(lambda self: self.colors()[2])
+    reach = property(lambda self: self.layout()[2])
 
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(range(self.sink + 1))
+    nodes = property(lambda self: tuple(range(self.sink + 1)))
 
     def node_label(self, u: int):
-        return "inf" if u == self.sink else self.labels[bisect_right(self._firsts, u) - 1]
+        firsts = self._offsets()
+        return "inf" if u == firsts[-1] else self.labels[bisect_right(firsts, u) - 1]
 
     def to_dot(self) -> str:
-        names, succ, _ = self.layout()
+        firsts, white, red_order = self.colors()
+        red = frozenset(red_order)
+        names, succ, _ = _expand(self.labels, self._skeleton[1], firsts)
         lines = ["digraph pm {", "  rankdir=LR;"]
         for u, (lab, p) in enumerate(names):
-            name = "inf" if u == self.sink else f"{lab}({p})"
+            name = f"{lab}({p})" if p else "inf"  # chain positions start at 1, the sink's is 0
             # as a DOT quoted string: backslashes and double quotes escaped
             name = name.replace("\\", "\\\\").replace('"', '\\"')
-            if u in self.white and u in self.red:
+            if u in white and u in red:
                 style = 'style=wedged, fillcolor="red:white"'
-            elif u in self.red:
+            elif u in red:
                 style = "style=filled, fillcolor=red"
-            elif u in self.white:
+            elif u in white:
                 style = "style=filled, fillcolor=white"
             else:
                 style = "style=dashed"
@@ -185,9 +177,7 @@ def _expand(labels: tuple, heads: tuple, firsts) -> tuple[list, tuple, tuple]:
     names: list = [None] * n
     succ: list = [None] * n
     reach: list = [None] * n
-    names[sink] = ("inf", 0)
-    succ[sink] = ()
-    reach[sink] = frozenset((sink,))
+    names[sink], succ[sink], reach[sink] = ("inf", 0), (), frozenset((sink,))
     for k in range(len(labels) - 1, -1, -1):
         lab = labels[k]
         first = firsts[k]
@@ -247,7 +237,7 @@ def build_pm(ar: ARQuiver, p: HomPoset, m: ModuleClass) -> MultiplicityGraph:
     except KeyError:
         sk, pick_white, red_pos, pick_red = _by_poset[p] = _poset_skeleton(ar, p.vertex)
     g = MultiplicityGraph.__new__(MultiplicityGraph)
-    g._lay_out(sk, pick_white(m.mults), red_pos, pick_red(m.mults))
+    g._store(sk, pick_white(m.mults), red_pos, pick_red(m.mults))
     return g
 
 
@@ -257,20 +247,48 @@ class AMorphism(NamedTuple):
     targets: tuple[int, ...]
 
     def mapping(self, g: MultiplicityGraph) -> dict[int, int]:
-        out = dict(zip(g.red_order, self.targets))
-        out[g.sink] = g.sink
-        return out
+        firsts, _, red_order = g.colors()  # the sink goes to itself
+        return dict(zip(red_order + firsts[-1:], self.targets + firsts[-1:]))
 
     def image(self, g: MultiplicityGraph) -> frozenset[int]:
         return frozenset(self.targets)
 
 
 def _guard_search_space(g: MultiplicityGraph, limit: int) -> None:
+    """Refuse, from the counts, more than `limit` candidates or reds (a search touches each).
+
+    The red at chain position j of label k has max(0, w_k - j) + (whites above k)
+    targets, and the candidates are the product of (targets + 1) over the reds.
+    """
+    reds, whites, ups = g._reds, g._whites, g._skeleton[2]
+    if not reds:
+        return
+    if limit < 1:  # reds with no target still make one candidate
+        raise ResourceLimitError(f"morphism search space exceeds {limit} candidates")
     size = 1
-    for r in g.red_order:
-        size *= len(g._white_targets[r]) + 1
-        if size > limit:
-            raise ResourceLimitError(f"morphism search space exceeds {limit} candidates")
+    for k, c in reds.items():
+        above = 0
+        for j in ups[k]:
+            above += whites[j]
+        w = whites[k]
+        for j in range(c if above else min(c, w)):
+            size *= (w - j if j < w else 0) + above + 1
+            if size > limit:
+                raise ResourceLimitError(f"morphism search space exceeds {limit} candidates")
+    if (n_red := sum(reds.values())) > limit:
+        raise ResourceLimitError(f"morphism search over {n_red} red nodes exceeds {limit}")
+
+
+def _white_targets(g: MultiplicityGraph) -> list[tuple[int, ...]]:
+    """The whites each red may map to, in red order: those of its own chain at or
+    above it, then those of every label above its own."""
+    firsts, whites, ups = g._offsets(), g._whites, g._skeleton[2]
+    targets = []
+    for k, c in g._reds.items():
+        above = [w for j in ups[k] for w in range(firsts[j], firsts[j] + whites[j])]
+        top = firsts[k] + whites[k]
+        targets += [(*range(r, top), *above) for r in range(firsts[k], firsts[k] + c)]
+    return targets
 
 
 def enumerate_morphisms(
@@ -278,7 +296,7 @@ def enumerate_morphisms(
 ) -> Iterator[AMorphism]:
     """All morphisms red -> white, each exactly once, in DFS order."""
     _guard_search_space(g, limit)
-    return _morphisms([g._white_targets[r] for r in g.red_order], g.sink, [], set())
+    return _morphisms(_white_targets(g), g.sink, [], set())
 
 
 def _morphisms(targets: list, sink: int, chosen: list, used: set[int]) -> Iterator[AMorphism]:
@@ -310,7 +328,8 @@ def eps_of(g: MultiplicityGraph, phi: AMorphism) -> int:
 def F_of_subset(g: MultiplicityGraph, nodes) -> int:
     """Whites minus reds inside the subset."""
     s = frozenset(nodes)
-    return len(s & g.white) - len(s & g.red)
+    _, white, red_order = g.colors()
+    return len(s & white) - len(s.intersection(red_order))
 
 
 def down_closure(g: MultiplicityGraph, nodes) -> frozenset[int]:
@@ -325,10 +344,11 @@ def _down(reach: tuple, s: frozenset[int]) -> frozenset[int]:
 def closure_H(g: MultiplicityGraph, phi: AMorphism, nodes) -> frozenset[int]:
     """Least fixed point of V -> (phi(red below V) union V) downward-closed."""
     mapping = phi.mapping(g)
+    red = g.red
     reach = g.layout()[2]
     cur = frozenset(nodes)
     while True:
-        moved = {mapping[r] for r in g.red & _down(reach, cur)}
+        moved = {mapping[r] for r in red & _down(reach, cur)}
         nxt = _down(reach, moved | cur)
         if nxt == cur:
             return cur
@@ -405,13 +425,11 @@ def is_preceq_minimal(
 
 def min_epsilon(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
     """Minimum of eps_of over all morphisms, by pruned DFS."""
-    reds = g.red_order
-    n_white = len(g.white)
-    if not reds:  # one morphism, which misses every white; the guard's bound is 1
+    n_white = sum(g._whites)
+    if not g._reds:  # one morphism, which misses every white; the guard's bound is 1
         return n_white
     _guard_search_space(g, limit)
-    targets = g._white_targets
-    return _fewest_unmatched([targets[r] for r in reds], 0, n_white, set(), n_white)
+    return _fewest_unmatched(_white_targets(g), 0, n_white, set(), n_white)
 
 
 def _fewest_unmatched(targets: list, idx: int, unmatched: int, used: set[int], best: int) -> int:
@@ -448,12 +466,14 @@ def closure_antichain(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -
     if not minimal:
         raise InvariantViolation("no minimal morphism found")
     phi = minimal[0]
-    if eps_of(g, phi) == 0:
+    firsts, white, _ = g.colors()
+    unmatched = white - phi.image(g)
+    if not unmatched:
         raise DomainError("closure antichain undefined when epsilon is zero")
-    closed = closure_H(g, phi, g.white - phi.image(g))
-    if g.sink in closed:
+    closed = closure_H(g, phi, unmatched)
+    if firsts[-1] in closed:
         raise InvariantViolation("closure of a minimal morphism contains the sink")
     reach = g.layout()[2]
     maximal = [u for u in closed if reach[u] & closed == {u}]
-    labels = sorted({g.node_label(u) for u in maximal})
+    labels = sorted({g.labels[bisect_right(firsts, u) - 1] for u in maximal})
     return Antichain(tuple(labels))

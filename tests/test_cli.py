@@ -116,8 +116,8 @@ def test_module_multiplicity_must_be_json_integer(capsys, command, module):
 
 
 @pytest.mark.parametrize(
-    "module", ['{"1,0":-1}', '{"1,0":2,"1, 0":-1}', '{"1, 0":-1,"1,0":2}'],
-    ids=["alone", "cancelled-after", "cancelled-before"],
+    "module", ['{"1,0":-1}', '{"1,0":2,"1, 0":-1}', '{"1, 0":-1,"1,0":2}', '{"1,0":-1,"1,0":1}'],
+    ids=["alone", "cancelled-after", "cancelled-before", "cancelled-by-a-repeat"],
 )
 def test_negative_module_entry_is_a_domain_error(capsys, module):
     code, out, err = run_cli(
@@ -211,6 +211,19 @@ def test_epsilon_answers_more_red_nodes_than_the_recursion_limit(capsys):
     )
     assert (code, err) == (0, "")
     assert json.loads(out) == {"agree": True, "epsilon": 1500, "geom": 1500, "i": 2}
+
+
+def test_epsilon_refuses_more_red_nodes_than_the_limit(capsys):
+    """10^23 - 1 reds: refused from the red count (exit 3) before any per-red work; the
+    same count of whites with no red is answered from the white count."""
+    huge = "9" * 23
+    base = ["epsilon", "--quiver", "A3: 2->1, 2->3", "-i", "2", "--oracle", "geom"]
+    code, out, err = run_cli(capsys, *base, "--module", f'{{"1,1,1":{huge}}}')
+    assert code == 3 and out == ""
+    assert err == f"resource limit: morphism search over {huge} red nodes exceeds 10000000\n"
+    code, out, err = run_cli(capsys, *base, "--module", f'{{"0,1,0":{huge}}}', "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"agree": True, "epsilon": int(huge), "geom": int(huge), "i": 2}
 
 
 def test_e8_orientation_validates_then_special_is_empty(capsys):

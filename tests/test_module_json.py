@@ -33,16 +33,20 @@ def _json_dumps_reference(ar, m):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+class _Entries(list):
+    """A JSON object's (name, value) entries in document order, repeats included."""
+
+
 def _json_loads_reference(ar, text):
     """The parser without a fast path: json.loads, then one check per entry."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_Entries)
     except (RecursionError, ValueError) as exc:
         raise QuiverParseError(f"bad module JSON: {exc}") from exc
-    if not isinstance(obj, dict):
+    if not isinstance(obj, _Entries):
         raise QuiverParseError("module JSON must be an object")
     counts = {}
-    for key, val in obj.items():
+    for key, val in obj:
         if type(val) is not int:
             raise QuiverParseError(f"bad module entry {key!r}: {val!r}")
         try:
@@ -123,6 +127,20 @@ NON_CANONICAL = [
 def test_module_from_json_matches_the_plain_parser(text):
     ar = ar_of(A3_MIDDLE)
     assert _outcome(module_from_json, ar, text) == _outcome(_json_loads_reference, ar, text)
+
+
+def test_a_repeated_name_is_read_each_time():
+    """An exact repeat sums like another spelling of the name, and a negative entry is
+    refused even when a repeat after it would cancel it; an array is still no object."""
+    ar = ar_of(A3_MIDDLE)
+    x = ar.by_dim[(1, 1, 1)].id
+    for text in ('{"1,1,1":1,"1,1,1":2}', '{"1,1,1":1," 1,1,1":2}'):
+        assert module_from_json(ar, text).mult(x) == 3
+    with pytest.raises(DomainError, match=r"negative multiplicity for \(1, 1, 1\)"):
+        module_from_json(ar, '{"1,1,1":-1,"1,1,1":1}')
+    for text in ('[["1,1,1",1]]', "[]"):
+        with pytest.raises(QuiverParseError, match="must be an object"):
+            module_from_json(ar, text)
 
 
 @pytest.mark.parametrize("value", [b'{"1,0,0":1}', bytearray(b'{"1,0,0":1}'), 5, None, ["x"]])

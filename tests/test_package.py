@@ -212,6 +212,12 @@ def test_no_nested_function_refers_to_itself():
     assert self_referring_nested_functions(SRC / "quivercrystal") == []
 
 
+def test_every_module_parses_as_the_oldest_supported_python():
+    """The syntax floor of `requires-python = ">=3.10"` in pyproject.toml."""
+    for path in sorted((SRC / "quivercrystal").glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 # -- value types ---------------------------------------------------------------
 
 

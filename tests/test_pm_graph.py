@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import math
 import random
 import weakref
 
@@ -32,6 +33,8 @@ from quivercrystal import (
     preceq_minimal_morphisms,
     zero_module,
 )
+from quivercrystal.errors import DEFAULT_SEARCH_LIMIT
+from quivercrystal.pm_graph import _white_targets
 
 
 def worked_graph():
@@ -56,11 +59,14 @@ def node(g, label, pos):
 
 
 def derived(g):
-    """The layout, with the first and last node of each label's chain read off its names."""
+    """The layout, with the first and last node of each label's chain read off its names,
+    and the white targets keyed by red."""
     names, succ, reach = g.layout()
     first = {lab: names.index((lab, 1)) for lab in g.labels}
     last = {lab: u for u, (lab, _) in enumerate(names[:-1])}
-    return {"_names": names, "succ": succ, "reach": reach, "first": first, "last": last}
+    targets = dict(zip(g.red_order, _white_targets(g)))
+    return {"_names": names, "succ": succ, "reach": reach, "first": first, "last": last,
+            "_white_targets": targets}
 
 
 def test_worked_chain_lengths():
@@ -472,16 +478,34 @@ def _by_definition(labels, covers, whites, reds):
     }
 
 
-# What a graph stores; names, succ and reach come from layout(), first and last from the names.
-STORED = {"labels", "sink", "white", "red", "red_order", "_white_targets", "_skeleton", "_firsts"}
+# What a graph stores: its counts and skeleton.  The sink and colors come from colors(),
+# names, succ and reach from layout(), first and last from the names, targets from
+# _white_targets.
+STORED = {"labels", "_skeleton", "_whites", "_reds"}
+
+
+GUARD_LIMITS = (0, 1, 2, 10, 1000, DEFAULT_SEARCH_LIMIT)
 
 
 def _assert_matches_definition(g, *inputs):
     want = _by_definition(*inputs)
     assert vars(g).keys() == STORED
+    assert len(g._whites) == len(g.labels) and len(g._reds) <= len(g.labels)
     got = derived(g)
     for name, value in want.items():
         assert (got[name] if name in got else getattr(g, name)) == value, name
+    # The guard refuses a graph with reds exactly when the reds, or the candidates
+    # (the product over reds of their white targets plus one), exceed the limit.
+    targets = [want["_white_targets"][r] for r in want["red_order"]]
+    candidates = math.prod(len(t) + 1 for t in targets)
+    for limit in GUARD_LIMITS:
+        refused = bool(targets) and (len(targets) > limit or candidates > limit)
+        try:
+            enumerate_morphisms(g, limit)
+        except ResourceLimitError:
+            assert refused, limit
+        else:
+            assert not refused, limit
 
 
 @pytest.mark.parametrize("kind,rank", [("D", 5), ("E", 6), ("E", 7)])
@@ -593,7 +617,7 @@ def test_empty_graph_is_one_sink():
     assert g.nodes == (0,) and g.sink == 0 and succ == ((),) and reach == (frozenset({0}),)
     d = derived(g)
     assert g.labels == () and d["first"] == d["last"] == {} and g.node_label(0) == "inf"
-    assert g.white == g.red == frozenset() and g.red_order == () and g._white_targets == {}
+    assert g.white == g.red == frozenset() and g.red_order == () and _white_targets(g) == []
     assert min_epsilon(g) == 0
 
 
@@ -640,8 +664,23 @@ def _reds_without_whites_above(n):
     ar = ar_of(A3_MIDDLE)
     m = module_from_dim_dict(ar, {(1, 1, 1): n})
     g = build_pm(ar, hom_poset(ar, 2), m)
-    assert len(g.red_order) == n and not any(g._white_targets.values())
+    assert len(g.red_order) == n and not any(_white_targets(g))
     return ar, m, g
+
+
+def test_more_reds_than_the_limit_are_refused_from_the_counts():
+    """10^23 reds with no white above them give one candidate but are refused by their count
+    before any per-red work; 10^23 whites with no red are answered from their count."""
+    ar = ar_of(A3_MIDDLE)
+    p = hom_poset(ar, 2)
+    g = build_pm(ar, p, module_from_dim_dict(ar, {(1, 1, 1): 10**23}))
+    for search in (min_epsilon, enumerate_morphisms):
+        with pytest.raises(ResourceLimitError, match=f"search over {10**23} red nodes exceeds"):
+            search(g)
+        with pytest.raises(ResourceLimitError, match="red nodes exceeds 1499$"):
+            search(_reds_without_whites_above(1500)[2], limit=1499)
+    m = module_from_dim_dict(ar, {(0, 1, 0): 10**23})
+    assert min_epsilon(build_pm(ar, p, m), limit=0) == epsilon_i(ar, m, 2) == 10**23
 
 
 def test_searches_answer_more_red_nodes_than_the_recursion_limit():

@@ -3,6 +3,7 @@ crystal graphs of depth at most 3 and command lines from a small grammar.
 
 Classes and graphs are drawn on every special orientation of A3, A4 and
 D4, and module JSON also on D4 and E6 with entries of up to 26 digits;
+multiplicity graphs are also drawn over random covers and counts;
 the settings are derandomized so the suite stays deterministic.
 """
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from quivercrystal import (
     ModuleClass,
+    MultiplicityGraph,
     antichain_score,
     antichains,
     build_ar,
@@ -39,6 +41,7 @@ from quivercrystal import (
 from quivercrystal import cli, crystal_ops
 from quivercrystal.ar_quiver import _read_canonical
 from quivercrystal.dynkin import diagram
+from test_pm_graph import _assert_matches_definition
 
 POOL = tuple(
     build_ar(q)
@@ -69,6 +72,24 @@ def test_three_routes_to_epsilon_agree(case):
     g = build_pm(ar, hom_poset(ar, i), m)
     assert min_epsilon(g) == min(eps_of(g, phi) for phi in enumerate_morphisms(g))
     assert min_epsilon(g) == epsilon_i(ar, m, i)
+
+
+@st.composite
+def counted_poset(draw):
+    """Up to six labels listed in a linear extension of random covers, and white and red
+    counts of at most 3 per label."""
+    labels = tuple(f"B{k}" for k in range(draw(st.integers(0, 6))))
+    pairs = [(a, b) for k, b in enumerate(labels) for a in labels[:k]]
+    covers = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    counts = st.dictionaries(st.sampled_from(labels), st.integers(0, 3)) if labels else st.just({})
+    return labels, covers, draw(counts), draw(counts)
+
+
+@SETTINGS
+@given(counted_poset())
+def test_graph_and_search_guard_match_their_definition(case):
+    g = MultiplicityGraph(*case)
+    _assert_matches_definition(g, *case)
 
 
 @SETTINGS
