@@ -21,9 +21,7 @@ _EXPORTS = {
     " parse_quiver positive_roots ringel_form symmetrized_form",
     "errors": "DomainError InvariantViolation QuiverCrystalError QuiverParseError"
     " ResourceLimitError",
-    "pm_graph": "AMorphism MultiplicityGraph build_pm closure_H closure_antichain down_closure"
-    " enumerate_morphisms eps_of F_of_subset is_preceq is_preceq_minimal min_epsilon"
-    " preceq_minimal_morphisms",
+    "pm_graph": "MultiplicityGraph build_pm min_epsilon",
     "cli": "",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

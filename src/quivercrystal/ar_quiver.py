@@ -30,6 +30,7 @@ __all__ = [
     "module_from_json",
     "module_to_json",
     "tau_inv_class",
+    "zero_module",
 ]
 
 

@@ -187,6 +187,9 @@ def _cmd_epsilon(args) -> int:
     if args.pm_dot:
         from . import pm_graph
         g = pm_graph.build_pm(ar, crystal_ops.hom_poset(ar, args.i), m)
+        n = g.sink + 1  # from the counts, before any per-node work
+        if n > args.limit:
+            raise ResourceLimitError(f"multiplicity graph of {n} nodes exceeds {args.limit}")
         print(g.to_dot(), end="")
         return 0
     eps = crystal_ops.epsilon_i(ar, m, args.i)

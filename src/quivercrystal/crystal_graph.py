@@ -16,7 +16,6 @@ from .errors import DEFAULT_VERTEX_BUDGET, DomainError, QuiverParseError, Resour
 
 __all__ = [
     "CrystalGraph",
-    "CheckReport",
     "generate",
     "kostant_count",
     "check_axioms",

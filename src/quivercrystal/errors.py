@@ -6,7 +6,7 @@ bug in this library, never bad user input.  The default resource bounds
 are defined here once, for the library and the CLI alike.
 """
 
-DEFAULT_SEARCH_LIMIT = 10_000_000  # morphism candidates, pm_graph searches
+DEFAULT_SEARCH_LIMIT = 10_000_000  # min_epsilon candidates and reds, --pm-dot nodes
 DEFAULT_VERTEX_BUDGET = 200_000  # vertices, crystal_graph.generate
 
 

@@ -1,12 +1,14 @@
-"""Chain-expanded multiplicity graphs and their morphism combinatorics.
+"""Chain-expanded multiplicity graphs and the geometric string statistic.
 
 Each poset element B is blown up into a chain of max(1, mu_B(M),
 mu_B(tau^{-1}M)) copies; Hasse covers connect the last copy of the lower
 chain to the first copy of the upper one, and maximal chains feed a sink
 node.  White nodes mark summands of M, red nodes summands of tau^{-1}M
 (a node may be both).  Morphisms send red nodes upward, injectively off
-the sink; the minimum number of unmatched whites over all morphisms is
-an independent route to the crystal string statistic.
+the sink.  The least number of whites a morphism leaves unmatched (its
+eps_of), which `min_epsilon` finds, is an independent route to the crystal
+string statistic.  The exhaustive morphism preorder and its closure
+operator are reference code in the test suite (tests/preorder.py).
 
 What depends on a poset alone is built once per `HomPoset`, from the Hom
 table and tau of the AR quiver rather than from the poset's own covers,
@@ -18,12 +20,12 @@ skeleton, its labels, the white count of each label and the red count of
 each label that has reds: nothing per node, so `build_pm` is O(labels).
 `colors()` derives the chain offsets, white set and red order, `layout()`
 the node names, successors and reach sets; neither caches, so each reader
-calls one once.  `sink`, `white`, `red`, `red_order` and `reach` alias
-their parts because the benchmark tracer reads them.  The search guard
-decides from the counts, and only a graph that passes it gets its white
-targets.  The searches, and the preorder's matching, send each red (or
-source white) to the sink within one frame and recurse only for those
-that take a white, so the recursion is about log2(limit) deep.
+calls one once.  `to_dot` reads the names and successors alone, in
+O(nodes).  `sink`, `white`, `red`, `red_order` and `reach` alias their
+parts because the benchmark tracer reads them.  The search guard decides
+from the counts, and only a graph that passes it gets its white targets.
+The search sends each red to the sink within one frame and recurses only
+for those that take a white, so the recursion is about log2(limit) deep.
 """
 
 from __future__ import annotations
@@ -31,29 +33,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, chain, compress
 from operator import itemgetter
-from typing import Iterator, NamedTuple
 from weakref import WeakKeyDictionary
 
 # tau_inv_class goes unused here: perfbench/tracing.py patches it.
 from .ar_quiver import ARQuiver, ModuleClass, tau_inv_class
-from .crystal_ops import Antichain, HomPoset
+from .crystal_ops import HomPoset
 from .errors import DEFAULT_SEARCH_LIMIT, DomainError, InvariantViolation, ResourceLimitError
 
-__all__ = [
-    "MultiplicityGraph",
-    "AMorphism",
-    "build_pm",
-    "enumerate_morphisms",
-    "eps_of",
-    "F_of_subset",
-    "down_closure",
-    "closure_H",
-    "is_preceq",
-    "is_preceq_minimal",
-    "preceq_minimal_morphisms",
-    "min_epsilon",
-    "closure_antichain",
-]
+__all__ = ["MultiplicityGraph", "build_pm", "min_epsilon"]
 
 
 class MultiplicityGraph:
@@ -68,6 +55,10 @@ class MultiplicityGraph:
 
     def __init__(self, labels: tuple, covers, white_counts: dict, red_counts: dict):
         sk = _skeleton(tuple(labels), covers)
+        known = set(sk[0])
+        for lab in chain(white_counts, red_counts):
+            if lab not in known:
+                raise DomainError(f"color count at {lab!r}, which is not a label")
         whites = tuple([white_counts.get(lab, 0) for lab in sk[0]])
         reds = [red_counts.get(lab, 0) for lab in sk[0]]
         for lab, c in [*zip(sk[0], whites), *zip(sk[0], reds)]:
@@ -123,7 +114,7 @@ class MultiplicityGraph:
     def to_dot(self) -> str:
         firsts, white, red_order = self.colors()
         red = frozenset(red_order)
-        names, succ, _ = _expand(self.labels, self._skeleton[1], firsts)
+        names, succ = _chains(self.labels, self._skeleton[1], firsts)
         lines = ["digraph pm {", "  rankdir=LR;"]
         for u, (lab, p) in enumerate(names):
             name = f"{lab}({p})" if p else "inf"  # chain positions start at 1, the sink's is 0
@@ -153,10 +144,15 @@ def _skeleton(labels: tuple, covers) -> tuple:
         repeated = next(lab for k, lab in enumerate(labels) if pos[lab] != k)
         raise DomainError(f"label {repeated!r} is repeated")
     heads: list[list[int]] = [[] for _ in labels]
-    for a, b in covers:
-        if pos[a] >= pos[b]:
+    for cover in covers:
+        try:
+            a, b = cover
+            pa, pb = pos[a], pos[b]
+        except (KeyError, TypeError, ValueError):
+            raise DomainError(f"cover {cover!r} is not a pair of labels") from None
+        if pa >= pb:
             raise DomainError("labels are not in a linear extension of the covers")
-        heads[pos[a]].append(pos[b])
+        heads[pa].append(pb)
     heads_t = tuple(tuple(sorted(h)) for h in heads)
     units = tuple(range(len(labels) + 1))
     reach = _expand(labels, heads_t, units)[2]
@@ -164,47 +160,42 @@ def _skeleton(labels: tuple, covers) -> tuple:
     return labels, heads_t, ups, units
 
 
-def _expand(labels: tuple, heads: tuple, firsts) -> tuple[list, tuple, tuple]:
-    """Nodes, successors and reach of the chain-expanded graph.
+def _chains(labels: tuple, heads: tuple, firsts) -> tuple[list, tuple]:
+    """Node names and sorted successors of the chain-expanded graph, in O(nodes).
 
     Label k's chain runs from node firsts[k] to firsts[k + 1] - 1; the last
-    entry of `firsts` is the sink.  One sweep from the top label down: a
-    chain's last node reaches the chains over it (or the sink), and each
-    node below it in the chain reaches what the node above it does.
+    entry of `firsts` is the sink.  Each chain node points to the next one, and
+    a chain's last node to the first nodes of the chains over it (or the sink).
     """
     sink = firsts[-1]
-    n = sink + 1
-    names: list = [None] * n
-    succ: list = [None] * n
-    reach: list = [None] * n
-    names[sink], succ[sink], reach[sink] = ("inf", 0), (), frozenset((sink,))
-    for k in range(len(labels) - 1, -1, -1):
-        lab = labels[k]
-        first = firsts[k]
-        u = firsts[k + 1] - 1
-        hs = heads[k]
-        if hs:
-            out = []
-            up = {u}
-            for h in hs:
-                v = firsts[h]
-                out.append(v)
-                up |= reach[v]
-            succ[u] = tuple(out)
-        else:
-            succ[u] = (sink,)
-            up = {u, sink}
-        r = frozenset(up)
-        names[u] = (lab, u - first + 1)
-        reach[u] = r
-        while u > first:
-            u -= 1
-            names[u] = (lab, u - first + 1)
-            succ[u] = (u + 1,)
-            reach[u] = r = r | {u}
+    names = [(lab, p) for lab, a, b in zip(labels, firsts, firsts[1:]) for p in range(1, b - a + 1)]
+    names.append(("inf", 0))
+    succ = [(v,) for v in range(1, sink + 1)]
+    for end, hs in zip(firsts[1:], heads):
+        succ[end - 1] = tuple([firsts[h] for h in hs]) or (sink,)
+    succ.append(())
+    return names, tuple(succ)
+
+
+def _expand(labels: tuple, heads: tuple, firsts) -> tuple[list, tuple, tuple]:
+    """Names, successors and reach of the chain-expanded graph.
+
+    Every successor comes after its node, so one sweep from the sink down
+    gives each node's reach from its successors' reach.
+    """
+    names, succ = _chains(labels, heads, firsts)
+    sink = firsts[-1]
+    reach: list = [None] * (sink + 1)
+    reach[sink] = frozenset((sink,))
+    for u in range(sink - 1, -1, -1):
+        vs = succ[u]
+        r = reach[vs[0]]  # a copy plus one node is cheaper than a union from scratch
+        if len(vs) > 1:
+            r = r.union(*[reach[v] for v in vs[1:]])
+        reach[u] = r | {u}
     if any(sink not in r for r in reach):
         raise InvariantViolation("sink not reachable from every node")
-    return names, tuple(succ), tuple(reach)
+    return names, succ, tuple(reach)
 
 
 # Per poset: its skeleton, and the pickers of mu_B(M) for every label B and of
@@ -239,19 +230,6 @@ def build_pm(ar: ARQuiver, p: HomPoset, m: ModuleClass) -> MultiplicityGraph:
     g = MultiplicityGraph.__new__(MultiplicityGraph)
     g._store(sk, pick_white(m.mults), red_pos, pick_red(m.mults))
     return g
-
-
-class AMorphism(NamedTuple):
-    """A morphism out of the red set: targets aligned with `graph.red_order`."""
-
-    targets: tuple[int, ...]
-
-    def mapping(self, g: MultiplicityGraph) -> dict[int, int]:
-        firsts, _, red_order = g.colors()  # the sink goes to itself
-        return dict(zip(red_order + firsts[-1:], self.targets + firsts[-1:]))
-
-    def image(self, g: MultiplicityGraph) -> frozenset[int]:
-        return frozenset(self.targets)
 
 
 def _guard_search_space(g: MultiplicityGraph, limit: int) -> None:
@@ -291,138 +269,6 @@ def _white_targets(g: MultiplicityGraph) -> list[tuple[int, ...]]:
     return targets
 
 
-def enumerate_morphisms(
-    g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT
-) -> Iterator[AMorphism]:
-    """All morphisms red -> white, each exactly once, in DFS order."""
-    _guard_search_space(g, limit)
-    return _morphisms(_white_targets(g), g.sink, [], set())
-
-
-def _morphisms(targets: list, sink: int, chosen: list, used: set[int]) -> Iterator[AMorphism]:
-    """The morphisms that send the first len(chosen) reds to `chosen`.
-
-    `used` holds the whites in `chosen`.  Each further red takes a free white
-    among its targets or the sink, in that order.  The sink branch is taken in
-    this frame, so the recursion is only as deep as the reds that take a white.
-    """
-    start = len(chosen)
-    for red_targets in targets[start:]:
-        for w in red_targets:
-            if w not in used:
-                chosen.append(w)
-                used.add(w)
-                yield from _morphisms(targets, sink, chosen, used)
-                used.discard(w)
-                chosen.pop()
-        chosen.append(sink)
-    yield AMorphism(tuple(chosen))
-    del chosen[start:]
-
-
-def eps_of(g: MultiplicityGraph, phi: AMorphism) -> int:
-    """Number of white nodes missed by the image of the red set."""
-    return len(g.white - phi.image(g))
-
-
-def F_of_subset(g: MultiplicityGraph, nodes) -> int:
-    """Whites minus reds inside the subset."""
-    s = frozenset(nodes)
-    _, white, red_order = g.colors()
-    return len(s & white) - len(s.intersection(red_order))
-
-
-def down_closure(g: MultiplicityGraph, nodes) -> frozenset[int]:
-    """Everything at or below some node of the subset."""
-    return _down(g.layout()[2], frozenset(nodes))
-
-
-def _down(reach: tuple, s: frozenset[int]) -> frozenset[int]:
-    return frozenset(u for u, up in enumerate(reach) if not up.isdisjoint(s))
-
-
-def closure_H(g: MultiplicityGraph, phi: AMorphism, nodes) -> frozenset[int]:
-    """Least fixed point of V -> (phi(red below V) union V) downward-closed."""
-    mapping = phi.mapping(g)
-    red = g.red
-    reach = g.layout()[2]
-    cur = frozenset(nodes)
-    while True:
-        moved = {mapping[r] for r in red & _down(reach, cur)}
-        nxt = _down(reach, moved | cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
-def _image_pushes(reach: tuple, sink: int, src: frozenset[int], dst: frozenset[int]) -> bool:
-    """Whether some endomorphism of the whites carries src onto dst as sets."""
-    src_w = sorted(src - {sink})
-    dst_w = sorted(dst - {sink})
-    spare = len(src_w) - len(dst_w)
-    # The spare src whites go to the sink, so it is in dst exactly when it is in
-    # src or some src white is spare.
-    if not (spare >= 0 and (sink in dst) == (sink in src or spare > 0)):
-        return False
-    targets = [[k for k, w in enumerate(dst_w) if w in reach[s]] for s in src_w]
-    return _covers(targets, [False] * len(dst_w), 0, len(dst_w))
-
-
-def _covers(targets: list, taken: list, idx: int, need: int) -> bool:
-    """Whether src whites idx.. can injectively take `need` more dst whites.
-
-    `targets[s]` lists the dst whites above src white s, and `taken` marks the
-    dst whites matched so far.  A src white that takes none goes to the sink
-    within this frame, so the recursion is only as deep as the matches.
-    """
-    while 0 < need <= len(targets) - idx:
-        for k in targets[idx]:
-            if not taken[k]:
-                taken[k] = True
-                if _covers(targets, taken, idx + 1, need - 1):
-                    return True
-                taken[k] = False
-        idx += 1  # the sink
-    return need == 0
-
-
-def is_preceq(g: MultiplicityGraph, phi: AMorphism, psi: AMorphism) -> bool:
-    """phi precedes psi when psi's image is phi's image pushed along paths."""
-    return _image_pushes(g.layout()[2], g.sink, phi.image(g), psi.image(g))
-
-
-def preceq_minimal_morphisms(
-    g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT
-) -> tuple[AMorphism, ...]:
-    """Morphisms preceded only by morphisms they also precede, in DFS order.
-
-    The preorder only sees images, so the exhaustive minimality test runs
-    once per distinct image.  Each call enumerates the morphisms afresh.
-    """
-    morphs = tuple(enumerate_morphisms(g, limit))
-    images = list(dict.fromkeys(phi.image(g) for phi in morphs))
-    reach, sink = g.layout()[2], g.sink
-    minimal = {
-        img
-        for img in images
-        if not any(
-            other != img
-            and _image_pushes(reach, sink, other, img)
-            and not _image_pushes(reach, sink, img, other)
-            for other in images
-        )
-    }
-    return tuple(phi for phi in morphs if phi.image(g) in minimal)
-
-
-def is_preceq_minimal(
-    g: MultiplicityGraph, phi: AMorphism, limit: int = DEFAULT_SEARCH_LIMIT
-) -> bool:
-    """Whether every morphism preceding phi is also preceded by it."""
-    img = phi.image(g)
-    return any(psi.image(g) == img for psi in preceq_minimal_morphisms(g, limit))
-
-
 def min_epsilon(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
     """Minimum of eps_of over all morphisms, by pruned DFS."""
     n_white = sum(g._whites)
@@ -452,28 +298,3 @@ def _fewest_unmatched(targets: list, idx: int, unmatched: int, used: set[int], b
                 used.discard(w)
         idx += 1  # the sink
     return best
-
-
-def closure_antichain(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -> Antichain:
-    """Collapse the closed set of any minimal morphism to a poset antichain.
-
-    The result is the maximal chain labels of the closure of the
-    unmatched whites; it does not depend on which minimal morphism is
-    used, and it reproduces the minimal best-scoring antichain of the
-    raising operator.
-    """
-    minimal = preceq_minimal_morphisms(g, limit)
-    if not minimal:
-        raise InvariantViolation("no minimal morphism found")
-    phi = minimal[0]
-    firsts, white, _ = g.colors()
-    unmatched = white - phi.image(g)
-    if not unmatched:
-        raise DomainError("closure antichain undefined when epsilon is zero")
-    closed = closure_H(g, phi, unmatched)
-    if firsts[-1] in closed:
-        raise InvariantViolation("closure of a minimal morphism contains the sink")
-    reach = g.layout()[2]
-    maximal = [u for u in closed if reach[u] & closed == {u}]
-    labels = sorted({g.labels[bisect_right(firsts, u) - 1] for u in maximal})
-    return Antichain(tuple(labels))

@@ -15,16 +15,11 @@ from quivercrystal import (
     antichains,
     build_ar,
     build_pm,
-    closure_H,
-    closure_antichain,
     compare_orientations,
     diagram,
     e_tilde,
-    enumerate_morphisms,
     epsilon_i,
-    eps_of,
     f_tilde,
-    F_of_subset,
     generate,
     hom_poset,
     kostant_count,
@@ -35,9 +30,16 @@ from quivercrystal import (
     parse_quiver,
     phi_i,
     coroot_pairing,
-    preceq_minimal_morphisms,
     special_orientations,
     weight_of,
+)
+from preorder import (
+    F_of_subset,
+    closure_H,
+    closure_antichain,
+    enumerate_morphisms,
+    eps_of,
+    preceq_minimal_morphisms,
 )
 
 A3_LINEAR = "A3: 3->2, 2->1"

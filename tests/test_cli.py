@@ -251,6 +251,21 @@ def test_epsilon_pm_dot(capsys):
     assert out == out2
 
 
+def test_epsilon_pm_dot_refuses_more_nodes_than_the_limit(capsys):
+    """The node count comes from the counts, so 10^23 copies are refused before any
+    per-node work; the worked example has 7 nodes."""
+    base = ["epsilon", "--quiver", "A3: 2->1, 2->3", "-i", "2", "--pm-dot"]
+    code, out, err = run_cli(capsys, *base, "--module", f'{{"1,1,1":{10**23}}}')
+    assert code == 3 and out == ""
+    assert err == f"resource limit: multiplicity graph of {2 * 10**23 + 3} nodes exceeds 10000000\n"
+    worked = ["--module", '{"1,1,1":2,"1,0,0":1,"0,1,1":1,"0,1,0":1}']
+    code, out, err = run_cli(capsys, *base, *worked, "--limit", "6")
+    assert code == 3 and out == ""
+    assert err == "resource limit: multiplicity graph of 7 nodes exceeds 6\n"
+    code, out, _ = run_cli(capsys, *base, *worked, "--limit", "7")
+    assert code == 0 and run_cli(capsys, *base, *worked) == (0, out, "")
+
+
 def test_ar_outputs(capsys):
     code, out, _ = run_cli(capsys, "ar", "--quiver", "A2: 2->1")
     assert code == 0

@@ -13,7 +13,6 @@ import pytest
 import quivercrystal
 from conftest import A3_MIDDLE, ar_of
 from quivercrystal import (
-    AMorphism,
     Antichain,
     Diagram,
     DomainError,
@@ -25,10 +24,11 @@ from quivercrystal import (
 )
 from quivercrystal import cli, crystal_graph, pm_graph
 from quivercrystal.crystal_graph import CheckReport, CrystalGraph, VertexData
+from preorder import AMorphism
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Every name the package exported when its __init__ imported each submodule eagerly.
+# The package's public surface, pinned: removing a name takes a deliberate edit here.
 EXPORTS = {
     "ar_quiver": [
         "ARQuiver", "Indec", "ModuleClass", "build_ar", "module_from_dim_dict",
@@ -51,11 +51,7 @@ EXPORTS = {
         "DomainError", "InvariantViolation", "QuiverCrystalError", "QuiverParseError",
         "ResourceLimitError",
     ],
-    "pm_graph": [
-        "AMorphism", "MultiplicityGraph", "build_pm", "closure_H", "closure_antichain",
-        "down_closure", "enumerate_morphisms", "eps_of", "F_of_subset", "is_preceq",
-        "is_preceq_minimal", "min_epsilon", "preceq_minimal_morphisms",
-    ],
+    "pm_graph": ["MultiplicityGraph", "build_pm", "min_epsilon"],
 }
 SUBMODULES = [*EXPORTS, "cli"]
 
@@ -172,6 +168,16 @@ def test_each_export_is_defined_in_its_home_module(mod):
     home = "quivercrystal." + mod
     elsewhere = [n for n in EXPORTS[mod] if getattr(quivercrystal, n).__module__ != home]
     assert elsewhere == []
+
+
+def test_submodule_all_lists_match_the_package_surface():
+    """Each `__all__` equals its submodule's `_EXPORTS` entry, and the package exports
+    exactly the names pinned above."""
+    for mod in SUBMODULES:
+        home = getattr(quivercrystal, mod)
+        if hasattr(home, "__all__"):
+            assert sorted(home.__all__) == sorted(quivercrystal._EXPORTS[mod].split()), mod
+    assert set(quivercrystal.__all__) == {name for names in EXPORTS.values() for name in names}
 
 
 def test_each_default_bound_is_defined_once():

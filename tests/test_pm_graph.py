@@ -3,38 +3,42 @@ import gc
 import hashlib
 import math
 import random
+import re
+import tracemalloc
 import weakref
 
 import pytest
 
 from conftest import A3_MIDDLE, ar_of
 from quivercrystal import (
-    AMorphism,
     DomainError,
     HomPoset,
     MultiplicityGraph,
     ResourceLimitError,
     build_pm,
-    closure_H,
-    closure_antichain,
-    down_closure,
     e_tilde,
-    enumerate_morphisms,
-    eps_of,
     epsilon_i,
-    F_of_subset,
     f_tilde,
     hom_poset,
-    is_preceq,
-    is_preceq_minimal,
     kostant_count,
     min_epsilon,
     module_from_dim_dict,
-    preceq_minimal_morphisms,
     zero_module,
 )
 from quivercrystal.errors import DEFAULT_SEARCH_LIMIT
 from quivercrystal.pm_graph import _white_targets
+from preorder import (
+    AMorphism,
+    F_of_subset,
+    closure_H,
+    closure_antichain,
+    down_closure,
+    enumerate_morphisms,
+    eps_of,
+    is_preceq,
+    is_preceq_minimal,
+    preceq_minimal_morphisms,
+)
 
 
 def worked_graph():
@@ -603,6 +607,15 @@ def test_bad_input_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(DomainError, match="label 'a' is repeated"):
             MultiplicityGraph(("a", "a"), (), {}, {})
+        # Every cover is a pair of labels, and every count is keyed by a label.
+        for cover in (("a", "z"), ("a",), ("a", "b", "c"), "a", 1):
+            message = re.escape(f"cover {cover!r} is not a pair of labels")
+            with pytest.raises(DomainError, match=message):
+                MultiplicityGraph(("a", "b"), (cover,), {}, {})
+        with pytest.raises(DomainError, match="color count at 'zz', which is not a label"):
+            MultiplicityGraph(("a", "b"), (("a", "b"),), {"zz": 5}, {})
+        with pytest.raises(DomainError, match="color count at 'zz', which is not a label"):
+            MultiplicityGraph(("a", "b"), (("a", "b"),), {}, {"zz": 0})
         # A count is an int >= 0: nothing is clamped or coerced.
         for count in (-1, 1.0, True, "1"):
             with pytest.raises(DomainError, match=f"color count {count!r} at 'b' is not"):
@@ -657,6 +670,22 @@ def test_dot_output_is_unchanged(capsys):
     assert hashlib.sha256(five_chain_graph().to_dot().encode()).hexdigest() == (
         "9e5f5b4ad7b298fb84f30bca5c5d644422784b7e570694b6d889d1e5002d68c0"
     )
+
+
+def test_to_dot_memory_is_linear_in_the_nodes():
+    """2,000 copies of (1,1,1) at vertex 2: two chains of 2,000 in a 4,003-node graph.  DOT
+    reads names and successors alone, so no per-node reach set is built (333 MiB did)."""
+    ar = ar_of(A3_MIDDLE)
+    g = build_pm(ar, hom_poset(ar, 2), module_from_dim_dict(ar, {(1, 1, 1): 2000}))
+    assert len(g.nodes) == 4003
+    tracemalloc.start()
+    try:
+        dot = g.to_dot()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dot.count("\n") == 8009
+    assert peak < 20 * 2**20, peak
 
 
 def _reds_without_whites_above(n):

@@ -24,8 +24,6 @@ from quivercrystal import (
     build_ar,
     build_pm,
     e_tilde,
-    enumerate_morphisms,
-    eps_of,
     epsilon_i,
     f_tilde,
     generate,
@@ -41,6 +39,7 @@ from quivercrystal import (
 from quivercrystal import cli, crystal_ops
 from quivercrystal.ar_quiver import _read_canonical
 from quivercrystal.dynkin import diagram
+from preorder import enumerate_morphisms, eps_of
 from test_pm_graph import _assert_matches_definition
 
 POOL = tuple(
