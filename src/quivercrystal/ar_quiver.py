@@ -2,10 +2,10 @@
 
 The AR quiver is knitted slice by slice along ZQ^op: slice 0 holds the
 projectives, and slice k+1 holds tau^{-1}X for each non-injective X of
-slice k, with dim tau^{-1}X read additively off the mesh from X.  Hom and Ext
-dimensions are then computed by walking tau orbits back to projectives,
-with Ext obtained from Hom through Auslander-Reiten duality.  Classes of
-representations (`ModuleClass`) and their JSON wire format live here too.
+slice k, with dim tau^{-1}X read additively off the mesh from X.  The Hom
+dimension of every pair is then tabulated by walking tau orbits back to
+projectives.  Classes of representations (`ModuleClass`) and their JSON wire
+format live here too.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class ARQuiver:
         tau = dict(tau_pairs)
         # tau_ids[x] is the id of tau X, None exactly on projectives.
         self.tau_ids = tuple(tau.get(x.id) for x in indecs)
-        self._tau_inv = {x: z for z, x in tau_pairs}
         self.by_dim = {x.dim: x for x in indecs}
         # dim_columns[j][x] is the j-th coordinate of dim X.
         self.dim_columns = tuple(zip(*(x.dim for x in indecs)))
@@ -101,8 +100,6 @@ class ARQuiver:
         names = sorted((",".join(map(str, x.dim)), x.id) for x in indecs)
         self.json_fields = tuple((f'"{name}":', x) for name, x in names)
         self.json_names = {name: (pos, x) for pos, (name, x) in enumerate(names)}
-        self._proj = {x.projective_vertex: x for x in indecs if x.is_projective}
-        self._inj = {x.injective_vertex: x for x in indecs if x.is_injective}
         self._hom = self._hom_table()
         simples = [self.simple(i).id for i in range(1, self.rank + 1)]
         self._special = all(row[s] <= 1 for row in self._hom for s in simples)
@@ -137,12 +134,6 @@ class ARQuiver:
     def indec(self, x: Indec | int) -> Indec:
         return x if isinstance(x, Indec) else self.indecs[x]
 
-    def projective(self, i: int) -> Indec:
-        return self._proj[i]
-
-    def injective(self, i: int) -> Indec:
-        return self._inj[i]
-
     def simple(self, i: int) -> Indec:
         dim = tuple(1 if j == i else 0 for j in range(1, self.rank + 1))
         return self.by_dim[dim]
@@ -152,27 +143,9 @@ class ARQuiver:
         tid = self.tau_ids[self.indec(x).id]
         return None if tid is None else self.indecs[tid]
 
-    def tau_inv(self, x: Indec | int) -> Indec | None:
-        """Inverse AR translate; absent exactly on injectives."""
-        xid = self.indec(x).id
-        tid = self._tau_inv.get(xid)
-        return None if tid is None else self.indecs[tid]
-
     def hom_dim(self, x: Indec | int, y: Indec | int) -> int:
         """dim Hom(X, Y), read from the table filled at construction."""
         return self._hom[self.indec(x).id][self.indec(y).id]
-
-    def ext_dim(self, x: Indec | int, y: Indec | int) -> int:
-        """dim Ext^1(X, Y) = dim Hom(Y, tau X), zero when X is projective."""
-        x, y = self.indec(x), self.indec(y)
-        if x.is_projective:
-            return 0
-        return self.hom_dim(y, self.tau(x))
-
-    def hom_to_simple(self, m: "ModuleClass", i: int) -> int:
-        """dim Hom(M, S(i)) of a class, additive over summands."""
-        s = self.simple(i)
-        return sum(k * self.hom_dim(b, s) for b, k in zip(self.indecs, m.mults) if k)
 
     def is_special(self) -> bool:
         """Whether every indecomposable maps to each simple with multiplicity <= 1."""
@@ -318,9 +291,6 @@ class ModuleClass(NamedTuple("ModuleClass", [("mults", tuple[int, ...])])):
             raise DomainError(f"negative multiplicity in {mults}")
         return tuple.__new__(cls, (mults,))
 
-    def mult(self, x: Indec | int) -> int:
-        return self.mults[x.id if isinstance(x, Indec) else x]
-
     def dimension_vector(self, ar: ARQuiver) -> DimVector:
         mults = self.mults
         return tuple([sum(map(mul, mults, col)) for col in ar.dim_columns])
@@ -331,12 +301,15 @@ def zero_module(ar: ARQuiver) -> ModuleClass:
 
 
 def module_from_dim_dict(ar: ARQuiver, counts: dict[DimVector, int]) -> ModuleClass:
-    """Build a class from {dimension vector: multiplicity}."""
+    """Build a class from {dimension vector: multiplicity}.  A key that is not a tuple of
+    ints, or a count that is not an int >= 0, is refused, never coerced."""
     mults = [0] * len(ar)
     for dim, k in counts.items():
-        dim = tuple(dim)
-        if dim not in ar.by_dim:
-            raise DomainError(f"{dim} is not an indecomposable dimension vector")
+        ints = isinstance(dim, tuple) and all(type(c) is int for c in dim)
+        if not (ints and dim in ar.by_dim):
+            raise DomainError(f"{dim!r} is not an indecomposable dimension vector")
+        if type(k) is not int:
+            raise DomainError(f"multiplicity {k!r} for {dim} is not an integer")
         if k < 0:
             raise DomainError(f"negative multiplicity for {dim}")
         mults[ar.by_dim[dim].id] += k

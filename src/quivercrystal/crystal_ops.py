@@ -130,20 +130,6 @@ class HomPoset:
         except KeyError:
             raise DomainError(f"{x} is not an element of this poset") from None
 
-    def leq_elements(self, a: Indec | int, b: Indec | int) -> bool:
-        return self.leq[self.pos(a)][self.pos(b)]
-
-    def minimum(self) -> Indec:
-        return self._unique([a for a, row in enumerate(self.leq) if all(row)], "minimum")
-
-    def maximum(self) -> Indec:
-        return self._unique([b for b, col in enumerate(zip(*self.leq)) if all(col)], "maximum")
-
-    def _unique(self, found: list[int], what: str) -> Indec:
-        if len(found) != 1:
-            raise InvariantViolation(f"hom poset has no unique {what}")
-        return self.elements[found[0]]
-
     def index_of(self, v: Antichain) -> int:
         try:
             return self._index[tuple(sorted(v.members))]

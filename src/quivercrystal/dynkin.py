@@ -92,10 +92,6 @@ class Quiver(NamedTuple):
         targets = {b for _, b in self.arrows}
         return tuple(v for v in range(1, self.diagram.rank + 1) if v not in targets)
 
-    def sinks(self) -> tuple[int, ...]:
-        outs = {a for a, _ in self.arrows}
-        return tuple(v for v in range(1, self.diagram.rank + 1) if v not in outs)
-
 
 def _orient(diag: Diagram, arrow_list: list[tuple[int, int]]) -> Quiver:
     """Validate that `arrow_list` orients each diagram edge exactly once."""

@@ -5,32 +5,32 @@ mu_B(tau^{-1}M)) copies; Hasse covers connect the last copy of the lower
 chain to the first copy of the upper one, and maximal chains feed a sink
 node.  White nodes mark summands of M, red nodes summands of tau^{-1}M
 (a node may be both).  Morphisms send red nodes upward, injectively off
-the sink.  The least number of whites a morphism leaves unmatched (its
-eps_of), which `min_epsilon` finds, is an independent route to the crystal
-string statistic.  The exhaustive morphism preorder and its closure
-operator are reference code in the test suite (tests/preorder.py).
+the sink.  The least number of whites a morphism leaves unmatched, which
+`min_epsilon` finds, is an independent route to the crystal string
+statistic.  The exhaustive morphism preorder and its closure operator are
+reference code in the test suite (tests/preorder.py).
 
 What depends on a poset alone is built once per `HomPoset`, from the Hom
 table and tau of the AR quiver rather than from the poset's own covers,
 and kept while the poset lives: the labels, the upper covers and the
-up-closure of each, the linear-extension and sink checks, the unit chain
-offsets, and pickers that read mu_B(M) for every label B and mu_{tau B}(M)
-for every non-projective one, each in one C call.  A graph stores that
-skeleton, its labels, the white count of each label and the red count of
-each label that has reds: nothing per node, so `build_pm` is O(labels).
-`colors()` derives the chain offsets, white set and red order, `layout()`
-the node names, successors and reach sets; neither caches, so each reader
-calls one once.  `to_dot` reads the names and successors alone, in
-O(nodes).  `sink`, `white`, `red`, `red_order` and `reach` alias their
-parts because the benchmark tracer reads them.  The search guard decides
-from the counts, and only a graph that passes it gets its white targets.
-The search sends each red to the sink within one frame and recurses only
-for those that take a white, so the recursion is about log2(limit) deep.
+up-closure of each (from the covers, last label first), the linear-extension
+check, the unit chain offsets, and pickers that read mu_B(M) for every label
+B and mu_{tau B}(M) for every non-projective one, each in one C call.  A
+graph stores that skeleton, its labels, the white count of each label and
+the red count of each label that has reds: nothing per node, so `build_pm`
+is O(labels).  `colors()` derives the chain offsets, white set and red
+order, `layout()` the node names, successors and reach sets (in its own
+sweep from the sink down); neither caches, so each reader calls one once.
+`to_dot` reads the names and successors alone, in O(nodes).  `sink`,
+`white`, `red`, `red_order` and `reach` alias their parts because the
+benchmark tracer reads them.  The search guard decides from the counts,
+and only a graph that passes it gets its white targets.  The search sends
+each red to the sink within one frame and recurses only for those that
+take a white, so the recursion is about log2(limit) deep.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate, chain, compress
 from operator import itemgetter
 from weakref import WeakKeyDictionary
@@ -96,7 +96,22 @@ class MultiplicityGraph:
         names[u] is (label, position in its chain), ("inf", 0) at the sink; succ[u]
         the sorted successors of u; reach[u] the nodes u reaches, u included.
         """
-        return _expand(self.labels, self._skeleton[1], self._offsets())
+        firsts = self._offsets()
+        names, succ = _chains(self.labels, self._skeleton[1], firsts)
+        # Every successor comes after its node, so one sweep from the sink down
+        # gives each node's reach from its successors' reach.
+        sink = firsts[-1]
+        reach: list = [None] * (sink + 1)
+        reach[sink] = frozenset((sink,))
+        for u in range(sink - 1, -1, -1):
+            vs = succ[u]
+            r = reach[vs[0]]  # a copy plus one node is cheaper than a union from scratch
+            if len(vs) > 1:
+                r = r.union(*[reach[v] for v in vs[1:]])
+            reach[u] = r | {u}
+        if any(sink not in r for r in reach):
+            raise InvariantViolation("sink not reachable from every node")
+        return names, succ, tuple(reach)
 
     # Aliases that derive afresh on each read, kept because perfbench/tracing.py reads them.
     sink = property(lambda self: self._offsets()[-1])
@@ -106,10 +121,6 @@ class MultiplicityGraph:
     reach = property(lambda self: self.layout()[2])
 
     nodes = property(lambda self: tuple(range(self.sink + 1)))
-
-    def node_label(self, u: int):
-        firsts = self._offsets()
-        return "inf" if u == firsts[-1] else self.labels[bisect_right(firsts, u) - 1]
 
     def to_dot(self) -> str:
         firsts, white, red_order = self.colors()
@@ -154,10 +165,10 @@ def _skeleton(labels: tuple, covers) -> tuple:
             raise DomainError("labels are not in a linear extension of the covers")
         heads[pa].append(pb)
     heads_t = tuple(tuple(sorted(h)) for h in heads)
-    units = tuple(range(len(labels) + 1))
-    reach = _expand(labels, heads_t, units)[2]
-    ups = tuple(tuple(sorted(reach[k] - {k, units[-1]})) for k in range(len(labels)))
-    return labels, heads_t, ups, units
+    ups: list = [()] * len(labels)
+    for k in range(len(labels) - 1, -1, -1):  # heads come later, so theirs are filled
+        ups[k] = tuple(sorted(set(heads_t[k]).union(*[ups[h] for h in heads_t[k]])))
+    return labels, heads_t, tuple(ups), tuple(range(len(labels) + 1))
 
 
 def _chains(labels: tuple, heads: tuple, firsts) -> tuple[list, tuple]:
@@ -175,27 +186,6 @@ def _chains(labels: tuple, heads: tuple, firsts) -> tuple[list, tuple]:
         succ[end - 1] = tuple([firsts[h] for h in hs]) or (sink,)
     succ.append(())
     return names, tuple(succ)
-
-
-def _expand(labels: tuple, heads: tuple, firsts) -> tuple[list, tuple, tuple]:
-    """Names, successors and reach of the chain-expanded graph.
-
-    Every successor comes after its node, so one sweep from the sink down
-    gives each node's reach from its successors' reach.
-    """
-    names, succ = _chains(labels, heads, firsts)
-    sink = firsts[-1]
-    reach: list = [None] * (sink + 1)
-    reach[sink] = frozenset((sink,))
-    for u in range(sink - 1, -1, -1):
-        vs = succ[u]
-        r = reach[vs[0]]  # a copy plus one node is cheaper than a union from scratch
-        if len(vs) > 1:
-            r = r.union(*[reach[v] for v in vs[1:]])
-        reach[u] = r | {u}
-    if any(sink not in r for r in reach):
-        raise InvariantViolation("sink not reachable from every node")
-    return names, succ, tuple(reach)
 
 
 # Per poset: its skeleton, and the pickers of mu_B(M) for every label B and of
@@ -270,7 +260,8 @@ def _white_targets(g: MultiplicityGraph) -> list[tuple[int, ...]]:
 
 
 def min_epsilon(g: MultiplicityGraph, limit: int = DEFAULT_SEARCH_LIMIT) -> int:
-    """Minimum of eps_of over all morphisms, by pruned DFS."""
+    """The fewest whites left unmatched when each red takes a distinct white at or
+    above it, or the sink; by pruned DFS."""
     n_white = sum(g._whites)
     if not g._reds:  # one morphism, which misses every white; the guard's bound is 1
         return n_white

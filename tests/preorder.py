@@ -183,5 +183,10 @@ def closure_antichain(g: MultiplicityGraph) -> Antichain:
         raise InvariantViolation("closure of a minimal morphism contains the sink")
     reach = g.layout()[2]
     maximal = [u for u in closed if reach[u] & closed == {u}]
-    labels = sorted({g.labels[bisect_right(firsts, u) - 1] for u in maximal})
-    return Antichain(tuple(labels))
+    return Antichain(tuple(sorted({node_label(g, u) for u in maximal})))
+
+
+def node_label(g: MultiplicityGraph, u: int):
+    """The label of the chain that holds node u, "inf" at the sink."""
+    firsts = g.colors()[0]
+    return "inf" if u == firsts[-1] else g.labels[bisect_right(firsts, u) - 1]

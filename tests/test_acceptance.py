@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+from conftest import maximum, minimum, projective
 from quivercrystal import (
     ModuleClass,
     antichain_leq,
@@ -39,6 +40,7 @@ from preorder import (
     closure_antichain,
     enumerate_morphisms,
     eps_of,
+    node_label,
     preceq_minimal_morphisms,
 )
 
@@ -79,8 +81,8 @@ def test_criterion_1_linear_chain_poset():
     ar = build_ar(parse_quiver(A3_LINEAR))
     p = hom_poset(ar, 3)
     assert len(p) == 3
-    assert p.minimum() == ar.projective(3)
-    assert p.maximum() == ar.simple(3)
+    assert minimum(p) == projective(ar, 3)
+    assert maximum(p) == ar.simple(3)
     for a in range(3):
         for b in range(3):
             assert p.leq[a][b] == (a <= b)
@@ -246,7 +248,7 @@ def test_criterion_6_minimal_morphism_antichains():
                 assert g.sink not in closed
                 assert F_of_subset(g, closed) == eps_of(g, phi) == eps
                 maximal = [u for u in closed if reach[u] & closed == {u}]
-                carried.add(tuple(sorted({g.node_label(u) for u in maximal})))
+                carried.add(tuple(sorted({node_label(g, u) for u in maximal})))
             assert len(carried) == 1
             v = closure_antichain(g)
             assert v.members == next(iter(carried))

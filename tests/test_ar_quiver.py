@@ -3,7 +3,9 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import A2, A3_LINEAR, A3_MIDDLE, ar_of
+from conftest import (
+    A2, A3_LINEAR, A3_MIDDLE, ar_of, ext_dim, hom_to_simple, injective, projective, tau_inv,
+)
 from oracle import HomOracle
 from quivercrystal import (
     DomainError,
@@ -33,16 +35,16 @@ def test_a2_hand_knit():
     ar = ar_of(A2)
     dims = {x.dim for x in ar.indecs}
     assert dims == {(1, 0), (1, 1), (0, 1)}
-    assert ar.projective(1).dim == (1, 0)
-    assert ar.projective(2).dim == (1, 1)
-    assert ar.injective(2).dim == (0, 1)
+    assert projective(ar, 1).dim == (1, 0)
+    assert projective(ar, 2).dim == (1, 1)
+    assert injective(ar, 2).dim == (0, 1)
     assert ar.tau(ar.simple(2)).dim == (1, 0)
 
 
 def test_a3_middle_tau_links():
     ar = ar_of(A3_MIDDLE)
     assert ar.tau(ar.by_dim[(0, 1, 0)]).dim == (1, 1, 1)
-    assert ar.tau_inv(ar.by_dim[(1, 0, 0)]).dim == (0, 1, 1)
+    assert tau_inv(ar, ar.by_dim[(1, 0, 0)]).dim == (0, 1, 1)
 
 
 def test_a1_single_indec():
@@ -50,7 +52,7 @@ def test_a1_single_indec():
     assert len(ar) == 1
     x = ar.indecs[0]
     assert x.is_projective and x.is_injective
-    assert ar.tau(x) is None and ar.tau_inv(x) is None
+    assert ar.tau(x) is None and tau_inv(ar, x) is None
 
 
 def test_tau_projective_absent_and_round_trip():
@@ -58,9 +60,9 @@ def test_tau_projective_absent_and_round_trip():
         ar = ar_of(spec)
         for x in ar.indecs:
             assert (ar.tau(x) is None) == x.is_projective
-            assert (ar.tau_inv(x) is None) == x.is_injective
+            assert (tau_inv(ar, x) is None) == x.is_injective
             if not x.is_projective:
-                assert ar.tau_inv(ar.tau(x)) == x
+                assert tau_inv(ar, ar.tau(x)) == x
 
 
 def test_every_root_appears_once():
@@ -72,7 +74,7 @@ def test_every_root_appears_once():
                 want = tuple(
                     len(_directed_paths(q, i, j)) for j in range(1, d.rank + 1)
                 )
-                assert ar.projective(i).dim == want
+                assert projective(ar, i).dim == want
 
 
 def _directed_paths(q, src, dst):
@@ -151,7 +153,7 @@ def test_hom_minus_ext_equals_ringel():
             ar = build_ar(q)
             for x in ar.indecs:
                 for y in ar.indecs:
-                    assert ar.hom_dim(x, y) - ar.ext_dim(x, y) == ringel_form(
+                    assert ar.hom_dim(x, y) - ext_dim(ar, x, y) == ringel_form(
                         q, x.dim, y.dim
                     )
 
@@ -161,17 +163,17 @@ def test_ext_via_tau_convention():
     for x in ar.indecs:
         for y in ar.indecs:
             if x.is_projective:
-                assert ar.ext_dim(x, y) == 0
+                assert ext_dim(ar, x, y) == 0
             else:
-                assert ar.ext_dim(x, y) == ar.hom_dim(y, ar.tau(x))
+                assert ext_dim(ar, x, y) == ar.hom_dim(y, ar.tau(x))
 
 
 def test_hom_to_simple_examples():
     ar = ar_of(A3_MIDDLE)
-    assert ar.hom_to_simple(zero_module(ar), 2) == 0
+    assert hom_to_simple(ar, zero_module(ar), 2) == 0
     m1 = module_from_dim_dict(ar, {(0, 1, 0): 1})
-    assert ar.hom_to_simple(m1, 2) == 1
-    assert ar.hom_to_simple(worked_class(ar), 2) == 4
+    assert hom_to_simple(ar, m1, 2) == 1
+    assert hom_to_simple(ar, worked_class(ar), 2) == 4
 
 
 def test_special_quivers():
@@ -234,6 +236,21 @@ def test_module_class_json_round_trip():
     assert module_from_json(ar, text) == m
     with pytest.raises(DomainError):
         module_from_dim_dict(ar, {(1, 0, 1): 1})
+
+
+def test_module_from_dim_dict_refuses_rather_than_coerces():
+    """A key is a tuple of ints naming an indecomposable and a count an int >= 0; anything
+    else is a DomainError, never a coerced class or another exception."""
+    ar = ar_of(A2)
+    for count in (1.5, True, "1", None):
+        with pytest.raises(DomainError, match=f"multiplicity {count!r} for \\(1, 0\\) is not"):
+            module_from_dim_dict(ar, {(1, 0): count})
+    with pytest.raises(DomainError, match=r"negative multiplicity for \(1, 0\)"):
+        module_from_dim_dict(ar, {(1, 0): -1})
+    for key in (5, None, "1,0", (1.0, 0), (True, False), ("1", "0"), (1, 0, 0)):
+        with pytest.raises(DomainError, match="is not an indecomposable dimension vector"):
+            module_from_dim_dict(ar, {key: 1})
+    assert module_from_dim_dict(ar, {(1, 0): 2}).mults == (2, 0, 0)
 
 
 def test_tau_inv_class_of_worked_example():

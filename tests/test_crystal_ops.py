@@ -6,7 +6,9 @@ import weakref
 
 import pytest
 
-from conftest import A2, A3_LINEAR, A3_MIDDLE, ar_of
+from conftest import (
+    A2, A3_LINEAR, A3_MIDDLE, ar_of, leq_elements, maximum, minimum, projective,
+)
 from oracle import HomOracle
 from quivercrystal import (
     Antichain,
@@ -52,27 +54,27 @@ def test_poset_linear_chain():
     p = hom_poset(ar, 3)
     dims = [ar.indecs[x].dim for x in p.element_ids]
     assert dims == [(1, 1, 1), (0, 1, 1), (0, 0, 1)]
-    assert p.minimum().dim == (1, 1, 1) == ar.projective(3).dim
-    assert p.maximum().dim == (0, 0, 1) == ar.simple(3).dim
-    assert p.leq_elements(ar.by_dim[(1, 1, 1)], ar.by_dim[(0, 0, 1)])
-    assert not p.leq_elements(ar.by_dim[(0, 0, 1)], ar.by_dim[(1, 1, 1)])
+    assert minimum(p).dim == (1, 1, 1) == projective(ar, 3).dim
+    assert maximum(p).dim == (0, 0, 1) == ar.simple(3).dim
+    assert leq_elements(p, ar.by_dim[(1, 1, 1)], ar.by_dim[(0, 0, 1)])
+    assert not leq_elements(p, ar.by_dim[(0, 0, 1)], ar.by_dim[(1, 1, 1)])
 
 
 def test_poset_middle_diamond():
     ar = ar_of(A3_MIDDLE)
     p = hom_poset(ar, 2)
     assert len(p) == 4
-    assert p.minimum().dim == (1, 1, 1)
-    assert p.maximum().dim == (0, 1, 0)
+    assert minimum(p).dim == (1, 1, 1)
+    assert maximum(p).dim == (0, 1, 0)
     a, b = ar.by_dim[(1, 1, 0)], ar.by_dim[(0, 1, 1)]
-    assert not p.leq_elements(a, b) and not p.leq_elements(b, a)
+    assert not leq_elements(p, a, b) and not leq_elements(p, b, a)
 
 
 def test_poset_a1():
     ar = ar_of("A1:")
     p = hom_poset(ar, 1)
     assert len(p) == 1
-    assert p.minimum() == p.maximum() == ar.simple(1)
+    assert minimum(p) == maximum(p) == ar.simple(1)
 
 
 def test_poset_rejects_non_special():
@@ -235,7 +237,7 @@ def test_score_table_of_worked_example():
             b = ar.indecs[xid]
             if any(ar.hom_dim(b, ar.indecs[c]) for c in v.members):
                 tb = ar.tau(b)
-                total += m.mult(b) - (m.mult(tb) if tb else 0)
+                total += m.mults[b.id] - (m.mults[tb.id] if tb else 0)
         assert total == antichain_score(ar, m, 2, v)
 
 
@@ -298,8 +300,6 @@ def test_poset_lookups_take_antichains_as_sets():
     foreign = ar.by_dim[(1, 0, 0)]
     with pytest.raises(DomainError):
         p.pos(foreign)
-    with pytest.raises(DomainError):
-        p.leq_elements(foreign, ar.simple(2))
     with pytest.raises(DomainError):
         antichain_leq(p, Antichain((foreign.id,)), singleton(ar, (0, 1, 0)))
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import sinks
 from quivercrystal import (
     DomainError,
     InvariantViolation,
@@ -28,7 +29,7 @@ def test_parse_echoes_input():
 def test_parse_linear_source():
     q = parse_quiver("A3: 3->2, 2->1")
     assert q.sources() == (3,)
-    assert q.sinks() == (1,)
+    assert sinks(q) == (1,)
 
 
 def test_parse_whitespace_insensitive():

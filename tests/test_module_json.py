@@ -135,7 +135,7 @@ def test_a_repeated_name_is_read_each_time():
     ar = ar_of(A3_MIDDLE)
     x = ar.by_dim[(1, 1, 1)].id
     for text in ('{"1,1,1":1,"1,1,1":2}', '{"1,1,1":1," 1,1,1":2}'):
-        assert module_from_json(ar, text).mult(x) == 3
+        assert module_from_json(ar, text).mults[x] == 3
     with pytest.raises(DomainError, match=r"negative multiplicity for \(1, 1, 1\)"):
         module_from_json(ar, '{"1,1,1":-1,"1,1,1":1}')
     for text in ('[["1,1,1",1]]', "[]"):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,45 @@ def self_referring_nested_functions(root: Path) -> list[str]:
 
 def test_no_nested_function_refers_to_itself():
     assert self_referring_nested_functions(SRC / "quivercrystal") == []
+
+
+def referenced_names(node: ast.AST) -> Counter:
+    """How often each name appears under `node` as a Name, an Attribute or an import."""
+    found: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name.rpartition(".")[2]] += 1
+    return found
+
+
+def uncalled_definitions(library: list[Path], callers: list[Path], exempt: set) -> list[str]:
+    """'module.name' for each function, method or class defined in `library` whose name
+    appears nowhere in `library` or `callers` outside its own definition.  Names in
+    `exempt` and dunder methods, which Python calls by protocol, are skipped."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in [*library, *callers]}
+    used = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        f"{path.stem}.{d.name}"
+        for path in library
+        for d in ast.walk(trees[path])
+        if isinstance(d, kinds) and not (d.name.startswith("__") and d.name.endswith("__"))
+        and d.name not in exempt and used[d.name] == referenced_names(d)[d.name]
+    )
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """Library code that only tests call belongs in the tests: every definition in the
+    package is used by the package or the benchmark, or is an exported name."""
+    library = sorted((SRC / "quivercrystal").glob("*.py"))
+    callers = sorted((SRC.parent / "perfbench").glob("*.py"))
+    exported = {name for names in quivercrystal._EXPORTS.values() for name in names.split()}
+    assert callers
+    assert uncalled_definitions(library, callers, exported) == []
 
 
 def test_every_module_parses_as_the_oldest_supported_python():

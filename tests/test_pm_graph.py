@@ -26,7 +26,7 @@ from quivercrystal import (
     zero_module,
 )
 from quivercrystal.errors import DEFAULT_SEARCH_LIMIT
-from quivercrystal.pm_graph import _white_targets
+from quivercrystal.pm_graph import _poset_skeleton, _white_targets
 from preorder import (
     AMorphism,
     F_of_subset,
@@ -37,6 +37,7 @@ from preorder import (
     eps_of,
     is_preceq,
     is_preceq_minimal,
+    node_label,
     preceq_minimal_morphisms,
 )
 
@@ -316,7 +317,7 @@ def test_closure_antichain_same_for_all_minimal_morphisms():
         assert g.sink not in closed
         assert F_of_subset(g, closed) == eps_of(g, phi)
         maximal = [u for u in closed if reach[u] & closed == {u}]
-        results.add(tuple(sorted({g.node_label(u) for u in maximal})))
+        results.add(tuple(sorted({node_label(g, u) for u in maximal})))
     assert results == {("B3", "B4", "B5")}
 
 
@@ -411,7 +412,7 @@ def test_graph_is_not_written_after_construction():
     before = copy.deepcopy(vars(g))
     laid_out = g.layout()
     g.reach, g.nodes, g.to_dot()
-    [g.node_label(u) for u in g.nodes]
+    [node_label(g, u) for u in g.nodes]
     morphs = list(enumerate_morphisms(g))
     assert min_epsilon(g) == 2
     assert all(is_preceq(g, phi, phi) for phi in morphs)
@@ -589,6 +590,32 @@ def test_build_pm_equals_the_graph_built_from_dicts(kind, rank):
     assert seen_unit and seen_longer
 
 
+@pytest.mark.parametrize("kind,rank", [("A", 4), ("D", 4), ("D", 5), ("E", 6)])
+def test_skeleton_up_closures_are_the_hom_table(kind, rank):
+    """Each label's up-closure, filled from the covers alone, is the positions of the
+    other labels it maps to."""
+    from quivercrystal import build_ar, diagram, special_orientations
+
+    for q in special_orientations(diagram(kind, rank)):
+        ar = build_ar(q)
+        for i in range(1, rank + 1):
+            labels, _, ups, _ = _poset_skeleton(ar, i)[0]
+            for a, x in enumerate(labels):
+                assert ups[a] == tuple(
+                    b for b, y in enumerate(labels) if b != a and ar.hom_dim(x, y) >= 1
+                ), (q.text_spec(), i, x)
+
+
+def test_a_redundant_cover_leaves_the_up_closures_unchanged():
+    ar = ar_of(A3_MIDDLE)
+    p = hom_poset(ar, 2)
+    labels = p.element_ids
+    covers = [(labels[a], labels[b]) for a, b in p.covers]
+    assert (labels[0], labels[-1]) not in covers  # the diamond's bottom and top
+    g = MultiplicityGraph(labels, [*covers, (labels[0], labels[-1])], {}, {})
+    assert g._skeleton[2] == _poset_skeleton(ar, 2)[0][2] == ((1, 2, 3), (3,), (3,), ())
+
+
 def test_five_chain_graph_matches_its_definition():
     g = five_chain_graph()
     _assert_matches_definition(
@@ -629,7 +656,7 @@ def test_empty_graph_is_one_sink():
     _, succ, reach = g.layout()
     assert g.nodes == (0,) and g.sink == 0 and succ == ((),) and reach == (frozenset({0}),)
     d = derived(g)
-    assert g.labels == () and d["first"] == d["last"] == {} and g.node_label(0) == "inf"
+    assert g.labels == () and d["first"] == d["last"] == {} and node_label(g, 0) == "inf"
     assert g.white == g.red == frozenset() and g.red_order == () and _white_targets(g) == []
     assert min_epsilon(g) == 0
 
