@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from json.encoder import encode_basestring_ascii as encode
 from operator import add, itemgetter, sub
 
 from .ar_quiver import ARQuiver, ModuleClass, _read_canonical, build_ar, module_to_json, zero_module
-# e_tilde, epsilon_i, phi_i and coroot_pairing go unused here: perfbench/tracing.py patches them.
+# Unused here, patched by perfbench/tracing.py: e_tilde, epsilon_i, f_tilde, phi_i, coroot_pairing.
 from .crystal_ops import _score_pass, e_tilde, epsilon_i, f_tilde, hom_poset, phi_i, weight_of
 from .dynkin import DimVector, Quiver, cartan_matrix, coroot_pairing, coroot_pairings
 from .dynkin import Weight, parse_quiver, positive_roots
@@ -64,27 +63,20 @@ class CrystalGraph(_Record):
         return self.levels[0][0]
 
     def to_json(self) -> str:
-        """The document json.dumps(doc, sort_keys=True, separators=(",", ":")) would write.
-
-        Levels, labels and statistics must be ints, as generate and graph_from_json make them.
-        """
+        """json.dumps, no spaces, of dicts built in sorted key order; edges and vertices sorted."""
         ar = self.ar
         names = {k: module_to_json(ar, ModuleClass._make((k,))) for k in self.vertices}
-        quoted = {name: encode(name) for name in names.values()}
-        verts = [
-            f'{{"epsilon":[{",".join(map(str, d.epsilon))}],"key":{quoted[names[k]]},'
-            f'"level":{d.level},"phi":[{",".join(map(str, d.phi))}],'
-            f'"weight":[{",".join(map(str, d.weight))}]}}'
-            for k, d in sorted(self.vertices.items(), key=lambda kv: (kv[1].level, kv[0]))
-        ]
-        edges = [  # sorted by the names themselves, as json.dumps saw them
-            f"[{quoted[s]},{i},{quoted[t]}]"
-            for s, i, t in sorted([(names[s], i, names[t]) for s, i, t in self.edges])
-        ]
-        return (
-            f'{{"depth":{self.depth},"edges":[{",".join(edges)}],'
-            f'"quiver":{encode(ar.quiver.text_spec())},"vertices":[{",".join(verts)}]}}'
-        )
+        doc = {
+            "depth": self.depth,
+            "edges": sorted([(names[s], i, names[t]) for s, i, t in self.edges]),
+            "quiver": ar.quiver.text_spec(),
+            "vertices": [
+                {"epsilon": d.epsilon, "key": names[k], "level": d.level, "phi": d.phi,
+                 "weight": d.weight}
+                for k, d in sorted(self.vertices.items(), key=lambda kv: (kv[1].level, kv[0]))
+            ],
+        }
+        return json.dumps(doc, separators=(",", ":"), check_circular=False)  # doc is acyclic
 
     def to_dot(self) -> str:
         ar = self.ar
@@ -103,23 +95,23 @@ class CrystalGraph(_Record):
         return "\n".join(lines) + "\n"
 
 
-def _passes_by_support(ar: ARQuiver, e: bool):
-    """(key, i, f) -> epsilon_i, f_tilde(key) - key if f, key - e_tilde(key) if e (else None)."""
+def _passes_by_support(ar: ARQuiver):
+    """(key, i) -> epsilon_i, f_tilde(key) - key, key - e_tilde(key) (None when epsilon_i is 0)."""
     # A pass at i reads and a swap writes only hom_poset(ar, i).support; the rest stays nonnegative.
-    # So answers and InvariantViolations depend on (i, key on support, f) alone: one pass each.
-    # Callers pass valid keys only, so a miss builds its class without re-checking it.
-    memos = [[None] * (ar.rank + 1) for _ in range(2)]  # [f][i]: (support getter, memo dict)
+    # So answers and InvariantViolations depend on (i, key on support) alone: one dict per i keyed
+    # by the restriction.  Callers pass valid keys only, so a miss builds its class unchecked.
+    memos = [None] * (ar.rank + 1)  # [i]: (support getter, memo dict)
 
-    def passes(key: Key, i: int, f: bool) -> tuple[int, Key | None, Key | None]:
-        memo = memos[f][i]
+    def passes(key: Key, i: int) -> tuple[int, Key, Key | None]:
+        memo = memos[i]
         if memo is None:
-            memo = memos[f][i] = itemgetter(*hom_poset(ar, i).support), {}
+            memo = memos[i] = itemgetter(*hom_poset(ar, i).support), {}
         get, seen = memo
         local = get(key)
         hit = seen.get(local)
         if hit is None:
-            eps, lowered, raised = _score_pass(ar, ModuleClass._make((key,)), i, f=f, e=e)
-            hit = seen[local] = (eps, lowered and tuple(map(sub, lowered.mults, key)),
+            eps, lowered, raised = _score_pass(ar, ModuleClass._make((key,)), i)
+            hit = seen[local] = (eps, tuple(map(sub, lowered.mults, key)),
                                  raised and tuple(map(sub, key, raised.mults)))
         return hit
 
@@ -135,7 +127,7 @@ def generate(
     if max_vertices < 1:  # the root alone exceeds it
         raise ResourceLimitError(f"vertex budget {max_vertices} exceeded at depth 0")
     n = ar.rank
-    passes = _passes_by_support(ar, e=False)
+    passes = _passes_by_support(ar)
     columns = [None, *zip(*cartan_matrix(ar.quiver))]
     root, zero = zero_module(ar).mults, (0,) * n
     # Keys in discovery order, each holding (weight, pairings) until it is expanded: f_i lowers
@@ -149,9 +141,9 @@ def generate(
             wt, pairings = vertices[key]
             eps = []
             for i in range(1, n + 1):
-                e, step, _ = passes(key, i, level < depth)
+                e, step, _ = passes(key, i)
                 eps.append(e)
-                if step is None:
+                if level == depth:
                     continue
                 tgt = tuple(map(add, key, step))
                 if tgt not in vertices:
@@ -221,7 +213,7 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
     """
     ar = g.ar
     n = ar.rank
-    passes = _passes_by_support(ar, e=True)
+    passes = _passes_by_support(ar)
     # Per vertex: f_1..f_n's changes, then e_1..e_n's negated (key - e_i key); memo hits share them.
     moves: dict[Key, list[Key | None]] = {}
     for key, data in g.vertices.items():
@@ -232,7 +224,7 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
             return CheckReport(False, 0, f"stored level is not the height at {key}")
         moves[key] = row = [None] * (2 * n)
         for i, pairing in enumerate(coroot_pairings(ar.quiver, wt), 1):
-            eps, row[i - 1], row[n + i - 1] = passes(key, i, data.level < g.depth)
+            eps, row[i - 1], row[n + i - 1] = passes(key, i)
             if eps + pairing != data.phi[i - 1]:
                 return CheckReport(False, 0, f"phi_{i} identity fails at {key}")
             if eps != data.epsilon[i - 1]:
@@ -250,9 +242,7 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
         if sd is None or td is None:
             return CheckReport(False, k, f"edge {k}: endpoint is not a vertex")
         step = tuple(map(sub, tgt, src))
-        # f_i out of level `depth` is derived here alone.
-        df = moves[src][i - 1]
-        if (df or tuple(map(sub, f_tilde(ar, ModuleClass(src), i).mults, src))) != step:
+        if moves[src][i - 1] != step:
             return CheckReport(False, k, f"edge {k}: f_{i} does not map source to target")
         if moves[tgt][n + i - 1] != step:
             return CheckReport(False, k, f"edge {k}: e_{i} does not invert f_{i}")
@@ -318,8 +308,8 @@ def compare_orientations(q1: Quiver, q2: Quiver, depth: int) -> bool:
 def graph_from_json(text: str) -> CrystalGraph:
     """Rebuild a generated graph from its JSON export.
 
-    Malformed or inconsistent documents raise QuiverParseError: depth,
-    levels and edge labels must be JSON integers in range (depth >= 0),
+    Malformed or inconsistent documents raise QuiverParseError: depth, levels
+    and edge labels must be JSON integers in range (0 <= depth < vertex count),
     every vertex lists `rank` JSON integers for epsilon, phi and weight,
     no vertex key appears twice, and level 0 holds exactly the zero class.
     """
@@ -349,6 +339,8 @@ def graph_from_json(text: str) -> CrystalGraph:
         depth = doc["depth"]
         if type(depth) is not int or depth < 0:
             raise QuiverParseError(f"depth {depth!r} is not a nonnegative JSON integer")
+        if depth >= len(doc["vertices"]):  # generate leaves no level empty
+            raise QuiverParseError(f"depth {depth} needs at least {depth + 1} vertices")
         vertices: dict[Key, VertexData] = {}
         levels: list[list[Key]] = [[] for _ in range(depth + 1)]
         for v in doc["vertices"]:
@@ -358,14 +350,9 @@ def graph_from_json(text: str) -> CrystalGraph:
             level = v["level"]
             if type(level) is not int or not 0 <= level <= depth:
                 raise QuiverParseError(f"vertex level {level!r} outside 0..{depth}")
-            stats = eps, phi, wt = v.get("epsilon"), v.get("phi"), v.get("weight")
-            if not (list is type(eps) is type(phi) is type(wt) and len(eps) == len(phi)
-                    == len(wt) == n and {*map(type, eps + phi + wt)} == {int}):
-                stats = ints(v, "epsilon"), ints(v, "phi"), ints(v, "weight")  # raises
-            vertices[key] = VertexData(level, *map(tuple, stats))
+            vertices[key] = VertexData(level, ints(v, "epsilon"), ints(v, "phi"), ints(v, "weight"))
             levels[level].append(key)
-        edges = [(parsed.get(s) or key_of(s), i, parsed.get(t) or key_of(t))
-                 for s, i, t in doc["edges"]]
+        edges = [(key_of(s), i, key_of(t)) for s, i, t in doc["edges"]]
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise QuiverParseError(f"bad graph JSON: {exc!r}") from exc
     for s, i, t in edges:

@@ -234,23 +234,21 @@ def _unique_extremum(p: HomPoset, candidates: list[int], maximal: bool) -> int:
 
 def f_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass:
     """Lowering operator: swap tau of the exchange set against the maximal maximizer."""
-    return _score_pass(ar, m, i, f=True)[1]
+    return _score_pass(ar, m, i)[1]
 
 
 def e_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass | None:
     """Raising operator: absent when the string statistic is zero."""
-    return _score_pass(ar, m, i, e=True)[2]
+    return _score_pass(ar, m, i)[2]
 
 
-def _score_pass(
-    ar: ARQuiver, m: ModuleClass, i: int, f: bool = False, e: bool = False
-) -> tuple[int, ModuleClass | None, ModuleClass | None]:
-    """epsilon_i(m), f_tilde(m) if f, e_tilde(m) if e (else None); reads m on the support only."""
+def _score_pass(ar: ARQuiver, m: ModuleClass, i: int) -> tuple[int, ModuleClass, ModuleClass | None]:
+    """epsilon_i(m), f_tilde(m) and e_tilde(m) from one score pass; m is read on the support."""
     p = hom_poset(ar, i)
     best, scores = _scores(p, m)
     candidates = [k for k, s in enumerate(scores) if s == best]
-    lowered = _swap(p, m, _unique_extremum(p, candidates, maximal=True), 1) if f else None
-    raised = _swap(p, m, _unique_extremum(p, candidates, maximal=False), -1) if e and best else None
+    lowered = _swap(p, m, _unique_extremum(p, candidates, maximal=True), 1)
+    raised = _swap(p, m, _unique_extremum(p, candidates, maximal=False), -1) if best else None
     return best, lowered, raised
 
 

@@ -159,13 +159,14 @@ def test_hom_minus_ext_equals_ringel():
 
 
 def test_ext_via_tau_convention():
-    ar = ar_of(A3_MIDDLE)
-    for x in ar.indecs:
-        for y in ar.indecs:
-            if x.is_projective:
-                assert ext_dim(ar, x, y) == 0
-            else:
-                assert ext_dim(ar, x, y) == ar.hom_dim(y, ar.tau(x))
+    """ext_dim(X, Y) = dim Hom(Y, tau X) agrees with the dual formula dim Hom(tau^-1 Y, X)."""
+    for d in (diagram("A", 4), diagram("D", 4), diagram("D", 5), diagram("E", 6)):
+        for q in all_orientations(d):
+            ar = build_ar(q)
+            for y in ar.indecs:
+                z = None if y.is_injective else tau_inv(ar, y)
+                for x in ar.indecs:
+                    assert ext_dim(ar, x, y) == (0 if z is None else ar.hom_dim(z, x))
 
 
 def test_hom_to_simple_examples():

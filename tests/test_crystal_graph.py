@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,8 @@ from quivercrystal import crystal_graph, crystal_ops
 from quivercrystal.crystal_graph import VertexData
 from quivercrystal.dynkin import diagram
 from quivercrystal.errors import QuiverParseError, ResourceLimitError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_depth_zero():
@@ -181,20 +187,20 @@ def test_check_axioms_reports_an_edge_label_outside_the_vertices(label):
 @pytest.mark.parametrize("spec, depth", [(A3_MIDDLE, 4), ("D4: 1->2, 2->3, 2->4", 3)])
 def test_score_pass_budget(monkeypatch, spec, depth):
     """generate and check_axioms each make exactly one score pass per distinct
-    (i, class restricted to the vertex-i elements and their tau translates, f-flag)."""
-    distinct = {A3_MIDDLE: 80, "D4: 1->2, 2->3, 2->4": 86}[spec]
+    (i, class restricted to the vertex-i elements and their tau translates)."""
+    distinct = {A3_MIDDLE: 72, "D4: 1->2, 2->3, 2->4": 59}[spec]
     passes = []
     scores = crystal_ops._scores
     monkeypatch.setattr(crystal_ops, "_scores", lambda p, m: passes.append(1) or scores(p, m))
     ar = ar_of(spec)
     g = generate(ar, depth)
-    triples = set()
+    pairs = set()
     for i in range(1, ar.rank + 1):
         p = crystal_ops.hom_poset(ar, i)
         ids = sorted({*p.element_ids, *(t for t in p.tau_ids if t is not None)})
-        for key, data in g.vertices.items():
-            triples.add((i, tuple(key[x] for x in ids), data.level < depth))
-    assert len(triples) == distinct < ar.rank * len(g.vertices)
+        for key in g.vertices:
+            pairs.add((i, tuple(key[x] for x in ids)))
+    assert len(pairs) == distinct < ar.rank * len(g.vertices)
     assert len(passes) == distinct
     passes.clear()
     assert check_axioms(g).ok
@@ -222,6 +228,31 @@ def test_check_axioms_reports_each_redirected_edge(spec, depth):
     report = check_with(g.edges + [(src, 2, other)])
     assert not report.ok and report.checked_edges == k, report
     assert report.first_violation == f"edge {k}: f_2 does not map source to target"
+
+
+@pytest.mark.parametrize("spec, depth", [(A3_MIDDLE, 4), ("D4: 1->2, 2->3, 2->4", 3)])
+def test_check_axioms_reads_every_edge_from_its_passes(monkeypatch, spec, depth):
+    """No public operator is called, and an edge out of level `depth` costs no pass of its own."""
+    g = generate(ar_of(spec), depth)
+
+    def refuse(*args):
+        raise AssertionError("check_axioms called a public operator")
+
+    for name in ("f_tilde", "e_tilde", "epsilon_i", "phi_i"):
+        monkeypatch.setattr(crystal_graph, name, refuse)
+    passes = []
+    scores = crystal_ops._scores
+    monkeypatch.setattr(crystal_ops, "_scores", lambda p, m: passes.append(1) or scores(p, m))
+    assert check_axioms(g).ok
+    complete = len(passes)
+    passes.clear()
+    src, other = g.levels[depth][:2]
+    k = len(g.edges)
+    extra = CrystalGraph(g.ar, depth, g.vertices, g.edges + [(src, 2, other)], g.levels)
+    report = check_axioms(extra)
+    assert not report.ok and report.checked_edges == k, report
+    assert report.first_violation == f"edge {k}: f_2 does not map source to target"
+    assert len(passes) == complete
 
 
 def test_compare_same_quiver():
@@ -335,14 +366,24 @@ def test_export_of_a_hand_built_graph_with_negative_and_long_entries():
     _assert_written_and_read_back(CrystalGraph(ar, 2, vertices, edges, [[root], [a], [b]]))
 
 
+def test_export_of_a_bool_label_is_json_the_reader_refuses():
+    """A hand-built graph's label True is written as JSON true, which graph_from_json refuses."""
+    g = generate(ar_of(A2), 2)
+    src, _, tgt = g.edges[0]
+    text = CrystalGraph(g.ar, 2, g.vertices, [(src, True, tgt), *g.edges[1:]], g.levels).to_json()
+    assert True in [label for _, label, _ in json.loads(text)["edges"]]
+    with pytest.raises(QuiverParseError, match="edge label True outside 1..2"):
+        graph_from_json(text)
+
+
 def test_check_axioms_rederives_the_weights_generate_takes_from_edges(monkeypatch):
     """generate stores a target's weight as its source's minus alpha_i; a wrong f_i shows there."""
     ar = ar_of("D4: 1->2, 2->3, 2->4")
     root = generate(ar, 0).root
     score_pass = crystal_graph._score_pass
 
-    def extra_summand(ar, m, i, f=False, e=False):
-        eps, lowered, raised = score_pass(ar, m, i, f=f, e=e)
+    def extra_summand(ar, m, i):
+        eps, lowered, raised = score_pass(ar, m, i)
         if lowered is not None and m.mults == root and i == 2:
             lowered = ModuleClass((lowered.mults[0] + 1, *lowered.mults[1:]))
         return eps, lowered, raised
@@ -350,7 +391,7 @@ def test_check_axioms_rederives_the_weights_generate_takes_from_edges(monkeypatc
     monkeypatch.setattr(crystal_graph, "_score_pass", extra_summand)
     g = generate(ar, 3)
     target = next(t for s, i, t in g.edges if s == root and i == 2)
-    assert target == extra_summand(ar, ModuleClass(root), 2, f=True)[1].mults
+    assert target == extra_summand(ar, ModuleClass(root), 2)[1].mults
     report = check_axioms(g)
     assert not report.ok and report.first_violation == f"stored weight wrong at {target}", report
 
@@ -408,6 +449,30 @@ def test_graph_from_json_rejects_malformed_documents():
             graph_from_json(text)
 
 
+HUGE_DEPTH = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a regression fails, not the host
+from quivercrystal import QuiverParseError, graph_from_json
+try:
+    graph_from_json('{"quiver":"A1:","depth":10000000000,"vertices":[],"edges":[]}')
+except QuiverParseError as exc:
+    sys.exit(str(exc))
+"""
+
+
+def test_graph_from_json_refuses_a_depth_its_vertices_cannot_fill():
+    """generate leaves no level empty, so depth d needs d + 1 vertices; no level is built first."""
+    pytest.importorskip("resource")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", HUGE_DEPTH], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.stderr == "depth 10000000000 needs at least 10000000001 vertices\n"
+    doc = json.loads(generate(ar_of(A3_MIDDLE), 2).to_json())
+    assert graph_from_json(json.dumps(doc)).depth == 2
+    with pytest.raises(QuiverParseError, match=f"depth {len(doc['vertices'])} needs at least"):
+        graph_from_json(json.dumps(dict(doc, depth=len(doc["vertices"]))))
+
+
 def test_vertex_budget():
     with pytest.raises(ResourceLimitError):
         generate(ar_of(A3_MIDDLE), 5, max_vertices=10)
@@ -448,8 +513,8 @@ def test_check_axioms_catches_a_wrong_e_tilde_beside_a_right_f_tilde(monkeypatch
     j, x = next((i, xs[0]) for i in range(1, ar.rank + 1) if (xs := _off_support(ar, i)))
     score_pass = crystal_graph._score_pass
 
-    def wrong_e(ar, m, i, f=False, e=False):
-        eps, lowered, raised = score_pass(ar, m, i, f=f, e=e)
+    def wrong_e(ar, m, i):
+        eps, lowered, raised = score_pass(ar, m, i)
         if raised is not None and i == j:
             raised = ModuleClass(tuple(k + (y == x) for y, k in enumerate(raised.mults)))
         return eps, lowered, raised

@@ -55,8 +55,8 @@ def test_classes_that_agree_on_the_support_get_the_same_answers(q):
             other = list(m)
             for x in outside:
                 other[x] = rng.choice((0, 1, 3))
-            first = crystal_graph._score_pass(ar, ModuleClass(tuple(m)), i, f=True, e=True)
-            second = crystal_graph._score_pass(ar, ModuleClass(tuple(other)), i, f=True, e=True)
+            first = crystal_graph._score_pass(ar, ModuleClass(tuple(m)), i)
+            second = crystal_graph._score_pass(ar, ModuleClass(tuple(other)), i)
             assert first[0] == second[0]
             for k in (1, 2):
                 assert _delta(first[k], ModuleClass(tuple(m))) == _delta(
