@@ -2,10 +2,13 @@
 
 The AR quiver is knitted slice by slice along ZQ^op: slice 0 holds the
 projectives, and slice k+1 holds tau^{-1}X for each non-injective X of
-slice k, with dim tau^{-1}X read additively off the mesh from X.  The Hom
-dimension of every pair is then tabulated by walking tau orbits back to
-projectives.  Classes of representations (`ModuleClass`) and their JSON wire
-format live here too.
+slice k, with dim tau^{-1}X read additively off the mesh from X.  Each
+knitted vector must be nonnegative with Tits form 1 (a positive root, by
+Gabriel's theorem), and the count must be the type's root count; `positive_roots` is
+left to `thick_vertices` and `crystal_graph.kostant_count`.  The Hom table is
+filled row by row: the row of a non-projective X is the row of tau X read
+through the tau ids, 0 on projectives.  Classes of representations
+(`ModuleClass`) and their JSON wire format live here too.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 import heapq
 import json
 from collections import defaultdict
-from operator import mul
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-from .dynkin import DimVector, Diagram, Quiver, all_orientations, positive_roots
+from .dynkin import _ROOT_COUNT, DimVector, Diagram, Quiver, all_orientations, positive_roots
 from .errors import DomainError, InvariantViolation, QuiverParseError
 
 __all__ = [
@@ -100,9 +103,10 @@ class ARQuiver:
         names = sorted((",".join(map(str, x.dim)), x.id) for x in indecs)
         self.json_fields = tuple((f'"{name}":', x) for name, x in names)
         self.json_names = {name: (pos, x) for pos, (name, x) in enumerate(names)}
-        self._hom = self._hom_table()
+        # hom_rows[x][y] = dim Hom(X, Y).
+        self.hom_rows = self._hom_table()
         simples = [self.simple(i).id for i in range(1, self.rank + 1)]
-        self._special = all(row[s] <= 1 for row in self._hom for s in simples)
+        self._special = max(max(map(itemgetter(s), self.hom_rows)) for s in simples) <= 1
 
     def _hom_table(self) -> tuple[tuple[int, ...], ...]:
         """dim Hom(X, Y) for every pair, by shifting both back along tau orbits.
@@ -110,18 +114,17 @@ class ARQuiver:
         Rows are filled in id order; tau X always has a smaller id than X,
         so the row it refers to already exists.  Hom(X, P) = 0 unless X is
         projective: kQ is hereditary, so a nonzero image in P splits off X.
+        Each row is one pass: Hom(P(j), Y) = dim Y_j, and otherwise
+        Hom(X, Y) = Hom(tau X, tau Y), read from the row padded with that 0.
         """
+        back = [-1 if t is None else t for t in self.tau_ids]
+        shift = itemgetter(*back)  # only called with two or more indecomposables
         rows: list[tuple[int, ...]] = []
         for x in self.indecs:
             if x.is_projective:
-                row = tuple(y.dim[x.projective_vertex - 1] for y in self.indecs)
+                rows.append(self.dim_columns[x.projective_vertex - 1])
             else:
-                prev = rows[self.tau_ids[x.id]]
-                row = tuple(
-                    0 if y.is_projective else prev[self.tau_ids[y.id]]
-                    for y in self.indecs
-                )
-            rows.append(row)
+                rows.append(shift(rows[back[x.id]] + (0,)))
         return tuple(rows)
 
     @property
@@ -145,7 +148,7 @@ class ARQuiver:
 
     def hom_dim(self, x: Indec | int, y: Indec | int) -> int:
         """dim Hom(X, Y), read from the table filled at construction."""
-        return self._hom[self.indec(x).id][self.indec(y).id]
+        return self.hom_rows[self.indec(x).id][self.indec(y).id]
 
     def is_special(self) -> bool:
         """Whether every indecomposable maps to each simple with multiplicity <= 1."""
@@ -196,9 +199,12 @@ def build_ar(q: Quiver) -> ARQuiver:
     each arrow i -> b, are the sources of the arrows into tau^{-1}(k, i), and
     its dimension vector is their sum minus dim (k, i).  Vertices are visited
     targets first (dim P(b) < dim P(i) for i -> b), so each (k+1, b) is
-    knitted before it is needed.
+    knitted before it is needed.  A knitted vector d >= 0 is a positive root
+    exactly when its Tits form sum d_i^2 - sum_{a->b} d_a d_b is 1 (Gabriel),
+    and distinct roots as many as the type has are all of them.
     """
-    roots = set(positive_roots(q))
+    heads = [a - 1 for a, _ in q.arrows]
+    tails = [b - 1 for _, b in q.arrows]
     inj_of = {dim: i for i, dim in _paths_dims(q, forward=False).items()}
     cur = _paths_dims(q, forward=True)
     proj_of = {dim: i for i, dim in cur.items()}
@@ -210,7 +216,8 @@ def build_ar(q: Quiver) -> ARQuiver:
         arrows_out[cur[b]].append(cur[a])
     while cur:
         for dim in cur.values():
-            if dim not in roots:
+            pairs = sum(map(mul, map(dim.__getitem__, heads), map(dim.__getitem__, tails)))
+            if sum(map(mul, dim, dim)) - pairs != 1 or min(dim) < 0:
                 raise InvariantViolation(f"knitting produced non-root {dim} for {q}")
             if dim in nodes:
                 raise InvariantViolation(f"knitting produced duplicate {dim} for {q}")
@@ -222,12 +229,13 @@ def build_ar(q: Quiver) -> ARQuiver:
                 continue
             middles = [prev[a] for a, b in q.arrows if b == i and a in prev]
             middles += [cur[b] for a, b in q.arrows if a == i and b in cur]
-            cur[i] = tuple(sum(col) - v for v, *col in zip(x, *middles))
+            # The middles' sum minus x; x rides in the zip so no middles still gives -x.
+            cur[i] = tuple(map(sub, map(sum, zip(x, *middles)), map(add, x, x)))
             tau_dims.append((cur[i], x))
             for e in middles:
                 arrows_out[e].append(cur[i])
 
-    if nodes != roots:
+    if len(nodes) != _ROOT_COUNT[q.diagram.letter](q.diagram.rank):
         raise InvariantViolation(f"knitting missed roots for {q}")
 
     order = _topological_ids(nodes, arrows_out)
@@ -274,10 +282,8 @@ def _check_meshes(ar: ARQuiver) -> None:
         tz = ar.tau(z)
         if tz is None:
             continue
-        mid = [ar.indecs[a].dim for a in into[z.id]]
-        total = tuple(sum(d[j] for d in mid) for j in range(ar.rank))
-        want = tuple(tz.dim[j] + z.dim[j] for j in range(ar.rank))
-        if total != want:
+        total = tuple(map(sum, zip(*[ar.indecs[a].dim for a in into[z.id]])))
+        if total != tuple(map(add, tz.dim, z.dim)):
             raise InvariantViolation(f"mesh additivity fails at {z} for {ar.quiver}")
 
 
@@ -386,7 +392,6 @@ def special_orientations(diag: Diagram) -> tuple[Quiver, ...]:
     A source vertex i admits dim Hom(X, S(i)) = dim X_i, so this matches
     filtering all orientations by the direct <= 1 condition.
     """
+    quivers = all_orientations(diag)  # its resource check runs before any root is computed
     thick = thick_vertices(diag)
-    return tuple(
-        q for q in all_orientations(diag) if not (thick & set(q.sources()))
-    )
+    return tuple(q for q in quivers if not (thick & set(q.sources())))

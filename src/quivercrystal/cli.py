@@ -275,83 +275,64 @@ def _cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_QUIVER = _arg("--quiver", required=True)
+_VERTEX = _arg("-i", type=int, required=True)
+_TEXT = _arg("--format", choices=["text", "json"], default="text")
+_DOT = _arg("--format", choices=["json", "dot"], default="json")
+_LIMIT = _arg("--limit", type=_nonnegative, default=DEFAULT_SEARCH_LIMIT)
+_MAX_VERTICES = _arg("--max-vertices", type=_nonnegative, default=DEFAULT_VERTEX_BUDGET)
+
+# name: (help, handler, arguments); the arguments are added for the chosen command only.
+_COMMANDS = {
+    "quiver": ("validate and normalize a quiver description", _cmd_quiver,
+               [_arg("action", choices=["validate"]), _arg("spec"), _TEXT]),
+    "ar": ("emit the Auslander-Reiten quiver", _cmd_ar, [_QUIVER, _DOT]),
+    "poset": ("poset of indecomposables mapping onto S(i)", _cmd_poset, [_QUIVER, _VERTEX, _TEXT]),
+    "antichains": ("all nonempty antichains of the poset", _cmd_antichains, [_QUIVER, _VERTEX, _TEXT]),
+    "apply": ("apply an operator word to a class", _cmd_apply, [
+        _QUIVER, _arg("--module", required=True, help="inline JSON or a file path"),
+        _arg("--ops", required=True, help='word like "f2 f2 e1", applied left to right'),
+        _arg("--strict", action="store_true", help="exit 1 when a raise is undefined"), _TEXT]),
+    "epsilon": ("string statistic of a class at a vertex", _cmd_epsilon, [
+        _QUIVER, _arg("--module", required=True), _VERTEX, _arg("--oracle", choices=["geom"], default=None),
+        _LIMIT, _arg("--pm-dot", action="store_true",
+                     help="emit the expanded multiplicity graph as DOT instead"), _TEXT]),
+    "graph": ("generate the crystal graph to a depth", _cmd_graph,
+              [_QUIVER, _arg("--depth", type=_nonnegative, required=True), _MAX_VERTICES, _DOT]),
+    "special": ("orientations with no thick source", _cmd_special,
+                [_arg("diagram", help="diagram name like A3 or E8"), _TEXT]),
+    "check": ("run axiom checks, exit 1 on violation", _cmd_check, [
+        _QUIVER, _arg("--depth", type=_nonnegative, default=4), _MAX_VERTICES,
+        _arg("--samples", type=_nonnegative, default=0, help="extra randomized checks"),
+        _arg("--seed", type=int, default=0), _LIMIT, _TEXT]),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser, complete when argv is None.  Otherwise only the command argv names
+    gets its arguments: the first string not starting with "-", since the top level
+    has no option that takes a value.  Help and errors read the same either way."""
+    chosen = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     parser = argparse.ArgumentParser(
         prog="quivercrystal",
         description="Crystal operators on classes of Dynkin quiver representations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("quiver", help="validate and normalize a quiver description")
-    p.add_argument("action", choices=["validate"])
-    p.add_argument("spec")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_quiver)
-
-    p = sub.add_parser("ar", help="emit the Auslander-Reiten quiver")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.set_defaults(func=_cmd_ar)
-
-    p = sub.add_parser("poset", help="poset of indecomposables mapping onto S(i)")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("-i", type=int, required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_poset)
-
-    p = sub.add_parser("antichains", help="all nonempty antichains of the poset")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("-i", type=int, required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_antichains)
-
-    p = sub.add_parser("apply", help="apply an operator word to a class")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--module", required=True, help="inline JSON or a file path")
-    p.add_argument("--ops", required=True, help='word like "f2 f2 e1", applied left to right')
-    p.add_argument("--strict", action="store_true", help="exit 1 when a raise is undefined")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_apply)
-
-    p = sub.add_parser("epsilon", help="string statistic of a class at a vertex")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--module", required=True)
-    p.add_argument("-i", type=int, required=True)
-    p.add_argument("--oracle", choices=["geom"], default=None)
-    p.add_argument("--limit", type=_nonnegative, default=DEFAULT_SEARCH_LIMIT)
-    p.add_argument("--pm-dot", action="store_true",
-                   help="emit the expanded multiplicity graph as DOT instead")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_epsilon)
-
-    p = sub.add_parser("graph", help="generate the crystal graph to a depth")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--depth", type=_nonnegative, required=True)
-    p.add_argument("--max-vertices", type=_nonnegative, default=DEFAULT_VERTEX_BUDGET)
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.set_defaults(func=_cmd_graph)
-
-    p = sub.add_parser("special", help="orientations with no thick source")
-    p.add_argument("diagram", help="diagram name like A3 or E8")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_special)
-
-    p = sub.add_parser("check", help="run axiom checks, exit 1 on violation")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--depth", type=_nonnegative, default=4)
-    p.add_argument("--max-vertices", type=_nonnegative, default=DEFAULT_VERTEX_BUDGET)
-    p.add_argument("--samples", type=_nonnegative, default=0, help="extra randomized checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=_nonnegative, default=DEFAULT_SEARCH_LIMIT)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_check)
-
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if chosen in (None, name):
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except QuiverParseError as exc:

@@ -14,7 +14,8 @@ other quiver up front.  The poset and every table the operators read
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, neg, or_
+from itertools import compress
+from operator import and_, itemgetter, neg, or_, truth
 from threading import Lock
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
@@ -67,37 +68,34 @@ class HomPoset:
                 f"{ar.quiver.text_spec()} is not special; crystal recipes do not apply"
             )
         self.vertex = i
-        s = ar.simple(i)
-        # The elements by position; the poset keeps no reference to ar.
-        self.elements = tuple(x for x in ar.indecs if ar.hom_dim(x, s) >= 1)
-        self.element_ids = tuple(x.id for x in self.elements)
-        self._pos = {xid: k for k, xid in enumerate(self.element_ids)}
-        n = len(self.element_ids)
-        leq = self.leq = tuple(
-            tuple(ar.hom_dim(a, b) >= 1 for b in self.element_ids) for a in self.element_ids
-        )
+        # The elements by position, read off the column of S(i); the poset keeps no reference to ar.
+        hom = ar.hom_rows
+        ids = self.element_ids = tuple(compress(range(len(hom)), map(itemgetter(ar.simple(i).id), hom)))
+        self.elements = tuple(map(ar.indecs.__getitem__, ids))
+        self._pos = {xid: k for k, xid in enumerate(ids)}
+        n = len(ids)
+        leq = self.leq = tuple(tuple(map(truth, map(hom[a].__getitem__, ids))) for a in ids)
         # below[b] has bit a set exactly when a <= b; above is its transpose.
-        below = [sum(1 << a for a in range(n) if leq[a][b]) for b in range(n)]
-        above = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
+        bits = [1 << a for a in range(n)]
+        below = [sum(compress(bits, col)) for col in zip(*leq)]
+        above = [sum(compress(bits, row)) for row in leq]
         for a in range(n):
             if not leq[a][a]:
                 raise InvariantViolation("hom order not reflexive")
             if above[a] & below[a] != 1 << a:
                 raise InvariantViolation("hom order not antisymmetric")
-            if any(below[a] & ~below[b] for b in range(n) if leq[a][b]):
+            if below[a] & ~reduce(and_, compress(below, leq[a])):
                 raise InvariantViolation("hom order not transitive")
-        self.covers = tuple(
-            (a, b)
+        # ups[a]: the upper covers of a, each b above a whose interval holds only a and b.
+        ups = [
+            [b for b in compress(range(n), leq[a]) if a != b and above[a] & below[b] == 1 << a | 1 << b]
             for a in range(n)
-            for b in range(n)
-            if a != b and above[a] & below[b] == 1 << a | 1 << b
-        )
+        ]
+        self.covers = tuple((a, b) for a in range(n) for b in ups[a])
         chains: list[tuple[int, ...]] = []
         downs: list[int] = []
         _extend(below, chains, downs, 0, (), 0, 0)
-        self.antichains = tuple(
-            Antichain(tuple(self.element_ids[k] for k in ch)) for ch in chains
-        )
+        self.antichains = tuple(Antichain(tuple(map(ids.__getitem__, ch))) for ch in chains)
         self._index = {a.members: idx for idx, a in enumerate(self.antichains)}
         # v <= w among antichains exactly when downsets[v] is a submask of downsets[w].
         self.downsets = tuple(downs)
@@ -106,18 +104,17 @@ class HomPoset:
         parent = {0: -1, **{d: k for k, d in enumerate(downs)}}
         self.plan = tuple(
             (k, parent[downs[k] & ~(1 << chains[k][-1])], chains[k][-1])
-            for k in sorted(range(len(chains)), key=lambda k: downs[k].bit_count())
+            for k in sorted(range(len(chains)), key=list(map(int.bit_count, downs)).__getitem__)
         )
         # Exchange set: the minimal elements outside a down-set.  A plan step adds x
         # to its parent, so x leaves and the upper covers of x now minimal join.
-        ups = [[b for a, b in self.covers if a == x] for x in range(n)]
         exchange = {-1: tuple(b for b in range(n) if below[b] == 1 << b)}
         for k, par, x in self.plan:
             gained = [c for c in ups[x] if below[c] & ~downs[k] == 1 << c]
             exchange[k] = tuple(sorted([b for b in exchange[par] if b != x] + gained))
         self.exchange = tuple(exchange[k] for k in range(len(downs)))
         # tau ids by position, None on the projective; support: the ids a pass reads or writes.
-        self.tau_ids = tuple(ar.tau_ids[xid] for xid in self.element_ids)
+        self.tau_ids = tuple(map(ar.tau_ids.__getitem__, ids))
         self.support = tuple(sorted({*self.element_ids, *self.tau_ids} - {None}))
 
     def __len__(self) -> int:

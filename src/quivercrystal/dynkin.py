@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DomainError, InvariantViolation, QuiverParseError
+from .errors import DEFAULT_VERTEX_BUDGET, DomainError, InvariantViolation, QuiverParseError, ResourceLimitError
 
 DimVector = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -41,6 +41,8 @@ class Diagram(NamedTuple):
 def diagram(letter: str, rank: int) -> Diagram:
     """Build the standard diagram of the given type, validating type and rank."""
     letter = letter.upper()
+    if rank > DEFAULT_VERTEX_BUDGET and letter in ("A", "D"):  # before any edge is built
+        raise ResourceLimitError(f"rank {rank} exceeds {DEFAULT_VERTEX_BUDGET} vertices")
     if letter == "A":
         if rank < 1:
             raise DomainError(f"type A requires rank >= 1, got {rank}")
@@ -148,9 +150,12 @@ def parse_quiver(spec: str) -> Quiver:
 
 
 def all_orientations(diag: Diagram) -> tuple[Quiver, ...]:
-    """Every orientation of the diagram, in a fixed bitmask order."""
+    """Every orientation of the diagram, in a fixed bitmask order; ResourceLimitError
+    before any is built if there are more than DEFAULT_VERTEX_BUDGET."""
     out = []
     n_edges = len(diag.edges)
+    if 1 << n_edges > DEFAULT_VERTEX_BUDGET:
+        raise ResourceLimitError(f"{diag} has 2^{n_edges} orientations, more than {DEFAULT_VERTEX_BUDGET}")
     for mask in range(1 << n_edges):
         arrows = tuple(
             (u, v) if not (mask >> k) & 1 else (v, u)
@@ -209,26 +214,30 @@ _ROOT_COUNT = {"A": lambda n: n * (n + 1) // 2, "D": lambda n: n * (n - 1), "E":
 
 
 def positive_roots(q: Quiver | Diagram) -> tuple[DimVector, ...]:
-    """All positive roots, computed by reflecting the simple roots.
+    """All positive roots, computed by reflecting the simple roots upward.
 
-    Sorted by (height, entries); the count is checked against the
-    closed-form value for the type.
+    Every positive root but a simple one reflects down to a positive root
+    of smaller height, so reflections that raise an entry reach them all,
+    and such a reflection of a positive root is again one.  Sorted by
+    (height, entries); the count is checked against the closed-form value
+    for the type.
     """
     diag = _diagram_of(q)
     n = diag.rank
-    adj = {v: [b if a == v else a for a, b in diag.edges if v in (a, b)] for v in range(1, n + 1)}
+    adj = [[b - 1 if a == v else a - 1 for a, b in diag.edges if v in (a, b)] for v in range(1, n + 1)]
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set(simples)
-    frontier = list(simples)
+    frontier = simples
     while frontier:
         nxt = []
         for v in frontier:
-            for i in range(1, n + 1):
-                entry = -v[i - 1] + sum(v[w - 1] for w in adj[i])
-                r = v[: i - 1] + (entry,) + v[i:]
-                if all(x >= 0 for x in r) and any(x > 0 for x in r) and r not in roots:
-                    roots.add(r)
-                    nxt.append(r)
+            for i in range(n):
+                entry = sum(map(v.__getitem__, adj[i])) - v[i]
+                if entry > v[i]:
+                    r = v[:i] + (entry,) + v[i + 1:]
+                    if r not in roots:
+                        roots.add(r)
+                        nxt.append(r)
         frontier = nxt
     expected = _ROOT_COUNT[diag.letter](n)
     if len(roots) != expected:

@@ -1,5 +1,6 @@
 import json
 from collections import defaultdict
+from itertools import product
 
 import pytest
 
@@ -7,8 +8,10 @@ from conftest import (
     A2, A3_LINEAR, A3_MIDDLE, ar_of, ext_dim, hom_to_simple, injective, projective, tau_inv,
 )
 from oracle import HomOracle
+from quivercrystal import ar_quiver
 from quivercrystal import (
     DomainError,
+    InvariantViolation,
     all_orientations,
     build_ar,
     diagram,
@@ -66,8 +69,12 @@ def test_tau_projective_absent_and_round_trip():
 
 
 def test_every_root_appears_once():
-    for d in (diagram("A", 4), diagram("D", 4), diagram("D", 5), diagram("E", 6)):
-        for q in all_orientations(d):
+    """build_ar checks Tits forms and the root count, so compare against positive_roots."""
+    samples = {"E7": range(0, 64, 5), "E8": range(0, 128, 9)}  # fixed, in bitmask order
+    for d in (diagram("A", 4), diagram("D", 4), diagram("D", 5), diagram("E", 6),
+              diagram("E", 7), diagram("E", 8)):
+        orientations = all_orientations(d)
+        for q in map(orientations.__getitem__, samples.get(str(d), range(len(orientations)))):
             ar = build_ar(q)
             assert sorted(x.dim for x in ar.indecs) == sorted(positive_roots(d))
             for i in range(1, d.rank + 1):
@@ -75,6 +82,58 @@ def test_every_root_appears_once():
                     len(_directed_paths(q, i, j)) for j in range(1, d.rank + 1)
                 )
                 assert projective(ar, i).dim == want
+
+
+def _corrupt_paths(monkeypatch, projective, change):
+    """Make build_ar read change(q, dims) for the projective (or else the injective) dims."""
+    honest = ar_quiver._paths_dims
+
+    def paths_dims(q, forward):
+        dims = honest(q, forward)
+        return change(q, dims) if forward == projective else dims
+    monkeypatch.setattr(ar_quiver, "_paths_dims", paths_dims)
+
+
+def test_knitting_refuses_every_non_root_the_root_set_refuses(monkeypatch):
+    """A projective replaced by any vector in a box is refused as a non-root exactly when
+    it is not a positive root: the Tits-form check is as strict as the root set was."""
+    for spec in ("A3: 2->1, 2->3", "D4: 1->2, 3->2, 4->2"):
+        q = parse_quiver(spec)
+        roots = set(positive_roots(q))
+        for vec in product(range(-1, 3), repeat=q.diagram.rank):
+            _corrupt_paths(monkeypatch, True, lambda q, dims: {**dims, 2: vec})
+            try:
+                build_ar(q)
+                message = None
+            except InvariantViolation as exc:
+                message = str(exc)
+            assert (message == f"knitting produced non-root {vec} for {spec}") == (vec not in roots)
+
+
+def test_knitting_refuses_a_duplicate(monkeypatch):
+    _corrupt_paths(monkeypatch, True, lambda q, dims: {**dims, 1: dims[3]})
+    with pytest.raises(InvariantViolation) as exc:
+        build_ar(parse_quiver(A3_MIDDLE))
+    assert str(exc.value) == "knitting produced duplicate (0, 0, 1) for A3: 2->1, 2->3"
+
+
+def test_knitting_that_stops_early_misses_roots(monkeypatch):
+    """Every projective read as injective: knitting stops after slice 0."""
+    honest = ar_quiver._paths_dims
+    _corrupt_paths(monkeypatch, False, lambda q, dims: honest(q, True))
+    with pytest.raises(InvariantViolation) as exc:
+        build_ar(parse_quiver("D4: 1->2, 3->2, 4->2"))
+    assert str(exc.value) == "knitting missed roots for D4: 1->2, 3->2, 4->2"
+
+
+def test_mesh_check_catches_a_missing_arrow(monkeypatch):
+    """The last irreducible arrow, into the simple injective S(2), is dropped."""
+    honest = ar_quiver.ARQuiver
+    monkeypatch.setattr(ar_quiver, "ARQuiver", lambda q, indecs, arrows, tau_pairs:
+                        honest(q, indecs, arrows[:-1], tau_pairs))
+    with pytest.raises(InvariantViolation) as exc:
+        build_ar(parse_quiver(A3_MIDDLE))
+    assert str(exc.value) == "mesh additivity fails at (0,1,0) for A3: 2->1, 2->3"
 
 
 def _directed_paths(q, src, dst):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,26 @@ def test_usage_error_exit_code():
 def test_special_e8_empty(capsys):
     code, out, _ = run_cli(capsys, "special", "E8")
     assert code == 0 and out == ""
+
+
+def _cap_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a regression fails, not the host
+
+
+@pytest.mark.parametrize("name, message", [
+    ("A40", "A40 has 2^39 orientations, more than 200000"),
+    ("A99999999999", "rank 99999999999 exceeds 200000 vertices"),
+])
+def test_special_on_a_large_rank_is_a_resource_limit(name, message):
+    """Refused before any orientation or edge is built, in a child capped at 1 GiB."""
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "quivercrystal", "special", name],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=_cap_memory, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"resource limit: {message}\n")
 
 
 def test_special_a3_all_orientations(capsys):

@@ -31,7 +31,7 @@ from quivercrystal import (
     zero_module,
 )
 from quivercrystal import crystal_ops
-from quivercrystal.ar_quiver import ARQuiver, build_ar
+from quivercrystal.ar_quiver import build_ar
 from quivercrystal.crystal_ops import HomPoset
 from quivercrystal.dynkin import all_orientations, diagram, parse_quiver
 from quivercrystal.pm_graph import build_pm
@@ -137,20 +137,18 @@ def test_vertex_tables_match_their_definitions():
                 )
 
 
-def _poset_with_relation(monkeypatch, changes):
+def _poset_with_relation(changes):
     """HomPoset at vertex 2 of a fresh A3 `2->1, 2->3`, with some Hom dimensions changed.
 
-    `changes` maps (dim X, dim Y) to a fake dim Hom(X, Y); no Y is S(2), so
-    which indecomposables belong to the poset is decided by the real table.
+    `changes` maps (dim X, dim Y) to a fake dim Hom(X, Y), written into the
+    Hom rows the poset reads; no Y is S(2), so which indecomposables belong
+    to the poset is decided by the real table.
     """
     ar = build_ar(parse_quiver(A3_MIDDLE))
-    real = ARQuiver.hom_dim
-
-    def hom_dim(self, x, y):
-        key = (self.indec(x).dim, self.indec(y).dim)
-        return changes[key] if key in changes else real(self, x, y)
-
-    monkeypatch.setattr(ARQuiver, "hom_dim", hom_dim)
+    rows = [list(row) for row in ar.hom_rows]
+    for (x, y), k in changes.items():
+        rows[ar.by_dim[x].id][ar.by_dim[y].id] = k
+    ar.hom_rows = tuple(map(tuple, rows))
     return HomPoset(ar, 2)
 
 
@@ -162,9 +160,9 @@ def _poset_with_relation(monkeypatch, changes):
         ({((1, 1, 0), (0, 1, 1)): 1, ((1, 1, 1), (0, 1, 1)): 0}, "hom order not transitive"),
     ],
 )
-def test_poset_rejects_a_hom_relation_that_is_not_an_order(monkeypatch, changes, message):
+def test_poset_rejects_a_hom_relation_that_is_not_an_order(changes, message):
     with pytest.raises(InvariantViolation, match=message):
-        _poset_with_relation(monkeypatch, changes)
+        _poset_with_relation(changes)
 
 
 def test_unique_extremum_of_score_maximizers():

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from quivercrystal import (
     DomainError,
     InvariantViolation,
     QuiverParseError,
+    ResourceLimitError,
     all_orientations,
     cartan_matrix,
     coroot_pairing,
@@ -114,6 +116,22 @@ def test_positive_roots_wrong_count_is_an_invariant_violation(monkeypatch):
         positive_roots(diagram("A", 3))
 
 
+@pytest.mark.parametrize("name, highest", [
+    ("A5", (1, 1, 1, 1, 1)), ("D5", (1, 2, 2, 1, 1)), ("E6", (1, 2, 3, 2, 1, 2)),
+])
+def test_positive_roots_are_the_vectors_of_tits_form_one(name, highest):
+    """Brute force: the nonzero d with 0 <= d <= the highest root and
+    sum d_i^2 - sum over edges d_a d_b = 1 are exactly the positive roots."""
+    d = diagram(name[0], int(name[1:]))
+    want = {
+        v for v in product(*(range(h + 1) for h in highest))
+        if sum(x * x for x in v) - sum(v[a - 1] * v[b - 1] for a, b in d.edges) == 1
+    }
+    roots = positive_roots(d)
+    assert len(roots) == len(set(roots)) and set(roots) == want
+    assert max(roots, key=sum) == highest
+
+
 def test_positive_roots_connected_support():
     for d in (diagram("A", 4), diagram("D", 5), diagram("E", 6)):
         edges = set(d.edges)
@@ -169,3 +187,23 @@ def test_all_orientations_count():
     assert len(all_orientations(diagram("A", 3))) == 4
     assert len(all_orientations(diagram("D", 4))) == 8
     assert len(all_orientations(diagram("A", 1))) == 1
+
+
+def test_all_orientations_refuses_more_than_the_budget_up_front(monkeypatch):
+    monkeypatch.setattr(dynkin, "DEFAULT_VERTEX_BUDGET", 8)
+    assert len(all_orientations(diagram("D", 4))) == 8  # exactly the budget
+    monkeypatch.setattr(dynkin, "Quiver", None)  # nothing may be built before the refusal
+    with pytest.raises(ResourceLimitError) as exc:
+        all_orientations(diagram("D", 5))
+    assert str(exc.value) == "D5 has 2^4 orientations, more than 8"
+    monkeypatch.undo()
+    with pytest.raises(ResourceLimitError, match="^A19 has 2\\^18 orientations, more than 200000$"):
+        all_orientations(diagram("A", 19))
+
+
+def test_a_huge_rank_is_refused_before_any_edge_is_built():
+    with pytest.raises(ResourceLimitError, match="^rank 200001 exceeds 200000 vertices$"):
+        diagram("D", 200_001)
+    assert len(diagram("A", 200_000).edges) == 199_999
+    with pytest.raises(DomainError):
+        diagram("E", 10**11)
