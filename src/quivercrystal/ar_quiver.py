@@ -118,7 +118,7 @@ class ARQuiver:
         Hom(X, Y) = Hom(tau X, tau Y), read from the row padded with that 0.
         """
         back = [-1 if t is None else t for t in self.tau_ids]
-        shift = itemgetter(*back)  # only called with two or more indecomposables
+        shift = itemgetter(*back)  # one index gives no tuple, but a lone indecomposable is projective
         rows: list[tuple[int, ...]] = []
         for x in self.indecs:
             if x.is_projective:

@@ -7,7 +7,7 @@ are defined here once, for the library and the CLI alike.
 """
 
 DEFAULT_SEARCH_LIMIT = 10_000_000  # min_epsilon candidates and reds, --pm-dot nodes
-DEFAULT_VERTEX_BUDGET = 200_000  # vertices of generate's graph and of a diagram; orientations
+DEFAULT_VERTEX_BUDGET = 200_000  # vertices, crystal_graph.generate; rank and orientations, dynkin
 
 
 class QuiverCrystalError(Exception):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from quivercrystal import build_ar, crystal_ops
-from quivercrystal.cli import main
+from quivercrystal.cli import build_parser, main
 from quivercrystal.dynkin import all_orientations, diagram
 
 PINS = json.loads((Path(__file__).parent / "output_pins.json").read_text())
@@ -102,3 +102,16 @@ def test_help_and_usage_errors(capsys, monkeypatch, argv):
     code, out, err = run(capsys, argv)
     assert [code, sha(out), sha(err)] == PINS["argparse"][" ".join(argv)]
     assert code == (0 if "--help" in argv else 2)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_lazy_parser_reads_as_the_complete_one(capsys, name):
+    """build_parser(argv) adds the arguments of argv's command only; its help and
+    usage error match the complete parser's, on any Python version."""
+    for argv in ([name, "--help"], [name]):
+        outputs = []
+        for parser in (build_parser(), build_parser(argv)):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
