@@ -97,11 +97,11 @@ def _corrupt_paths(monkeypatch, projective, change):
 def test_knitting_refuses_every_non_root_the_root_set_refuses(monkeypatch):
     """A projective replaced by any vector in a box is refused as a non-root exactly when
     it is not a positive root: the Tits-form check is as strict as the root set was."""
+    _corrupt_paths(monkeypatch, True, lambda q, dims: {**dims, 2: vec})  # the loop's current vec
     for spec in ("A3: 2->1, 2->3", "D4: 1->2, 3->2, 4->2"):
         q = parse_quiver(spec)
         roots = set(positive_roots(q))
         for vec in product(range(-1, 3), repeat=q.diagram.rank):
-            _corrupt_paths(monkeypatch, True, lambda q, dims: {**dims, 2: vec})
             try:
                 build_ar(q)
                 message = None
