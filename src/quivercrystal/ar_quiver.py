@@ -20,7 +20,7 @@ from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .dynkin import _ROOT_COUNT, DimVector, Diagram, Quiver, all_orientations, positive_roots
-from .errors import DomainError, InvariantViolation, QuiverParseError
+from .errors import HOM_TABLE_BUDGET, DomainError, InvariantViolation, QuiverParseError, ResourceLimitError
 
 __all__ = [
     "Indec",
@@ -201,8 +201,12 @@ def build_ar(q: Quiver) -> ARQuiver:
     targets first (dim P(b) < dim P(i) for i -> b), so each (k+1, b) is
     knitted before it is needed.  A knitted vector d >= 0 is a positive root
     exactly when its Tits form sum d_i^2 - sum_{a->b} d_a d_b is 1 (Gabriel),
-    and distinct roots as many as the type has are all of them.
+    and distinct roots as many as the type has are all of them.  A Hom table of
+    more than HOM_TABLE_BUDGET entries is refused before knitting.
     """
+    n_roots = _ROOT_COUNT[q.diagram.letter](q.diagram.rank)
+    if n_roots * n_roots > HOM_TABLE_BUDGET:
+        raise ResourceLimitError(f"Hom table of {q.diagram}: {n_roots}^2 entries exceed {HOM_TABLE_BUDGET}")
     heads = [a - 1 for a, _ in q.arrows]
     tails = [b - 1 for _, b in q.arrows]
     inj_of = {dim: i for i, dim in _paths_dims(q, forward=False).items()}
@@ -235,7 +239,7 @@ def build_ar(q: Quiver) -> ARQuiver:
             for e in middles:
                 arrows_out[e].append(cur[i])
 
-    if len(nodes) != _ROOT_COUNT[q.diagram.letter](q.diagram.rank):
+    if len(nodes) != n_roots:
         raise InvariantViolation(f"knitting missed roots for {q}")
 
     order = _topological_ids(nodes, arrows_out)

@@ -78,12 +78,7 @@ def _hom_poset_doc(ar, p):
     return {
         "i": p.vertex,
         "elements": [list(ar.indecs[xid].dim) for xid in p.element_ids],
-        "leq": [
-            [a, b]
-            for a in range(len(p))
-            for b in range(len(p))
-            if p.leq[a][b]
-        ],
+        "leq": [[a, b] for a, up in enumerate(p.above) for b in range(len(p)) if up >> b & 1],
         "covers": [list(c) for c in p.covers],
     }
 

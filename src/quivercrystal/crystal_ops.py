@@ -7,36 +7,27 @@ counted against their tau translates.  The lowering operator swaps the
 exchange set of the maximal best-scoring antichain against that
 antichain; the raising operator inverts this using the minimal one.
 These recipes require the orientation to be special and reject any
-other quiver up front.  The poset and every table the operators read
-(`HomPoset`) live here, built once per AR quiver and vertex.
+other quiver up front.  The vertex table (`HomPoset`), built once per AR
+quiver and vertex, is the order and the down-set plan; an antichain and
+its exchange set are read off a down-set mask when asked.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import compress
-from operator import and_, itemgetter, neg, or_, truth
+from operator import and_, itemgetter, neg, or_
 from threading import Lock
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .ar_quiver import ARQuiver, Indec, ModuleClass
 from .dynkin import Weight, coroot_pairing
-from .errors import DomainError, InvariantViolation
+from .errors import ANTICHAIN_BUDGET, DomainError, InvariantViolation, ResourceLimitError
 
 __all__ = [
-    "HomPoset",
-    "Antichain",
-    "hom_poset",
-    "antichains",
-    "antichain_leq",
-    "antichain_score",
-    "epsilon_i",
-    "exchange_set",
-    "f_tilde",
-    "e_tilde",
-    "weight_of",
-    "phi_i",
+    "HomPoset", "Antichain", "hom_poset", "antichains", "antichain_leq", "antichain_score",
+    "epsilon_i", "exchange_set", "f_tilde", "e_tilde", "weight_of", "phi_i",
 ]
 
 
@@ -54,10 +45,11 @@ class Antichain(NamedTuple("Antichain", [("members", tuple[int, ...])])):
 class HomPoset:
     """Poset of indecomposables mapping onto S(i), ordered by Hom != 0.
 
-    Besides the order it holds every table the crystal operators read:
-    the antichains, their down-sets (as bit masks over positions), the
-    plan that builds each down-set from a smaller one, their exchange sets
-    and the tau translates of the elements.
+    Positions follow the AR order, which extends the Hom order (checked).  The
+    order is stored as bit masks over positions: below[b] has bit a set exactly
+    when a <= b, and above is its transpose.  Each nonempty down-set is a mask,
+    in lexicographic order of its antichain's positions; the plan builds each
+    from a smaller one.
     """
 
     def __init__(self, ar: ARQuiver, i: int):
@@ -74,45 +66,31 @@ class HomPoset:
         self.elements = tuple(map(ar.indecs.__getitem__, ids))
         self._pos = {xid: k for k, xid in enumerate(ids)}
         n = len(ids)
-        leq = self.leq = tuple(tuple(map(truth, map(hom[a].__getitem__, ids))) for a in ids)
-        # below[b] has bit a set exactly when a <= b; above is its transpose.
+        rows = [tuple(map(hom[a].__getitem__, ids)) for a in ids]
         bits = [1 << a for a in range(n)]
-        below = [sum(compress(bits, col)) for col in zip(*leq)]
-        above = [sum(compress(bits, row)) for row in leq]
+        below = self.below = tuple([sum(compress(bits, col)) for col in zip(*rows)])
+        above = self.above = tuple([sum(compress(bits, row)) for row in rows])
         for a in range(n):
-            if not leq[a][a]:
+            if not above[a] >> a & 1:
                 raise InvariantViolation("hom order not reflexive")
             if above[a] & below[a] != 1 << a:
                 raise InvariantViolation("hom order not antisymmetric")
-            if below[a] & ~reduce(and_, compress(below, leq[a])):
+            if below[a] & ~reduce(and_, compress(below, rows[a])):
                 raise InvariantViolation("hom order not transitive")
-        # ups[a]: the upper covers of a, each b above a whose interval holds only a and b.
-        ups = [
-            [b for b in compress(range(n), leq[a]) if a != b and above[a] & below[b] == 1 << a | 1 << b]
-            for a in range(n)
-        ]
-        self.covers = tuple((a, b) for a in range(n) for b in ups[a])
-        chains: list[tuple[int, ...]] = []
+        if any(below[b] >> b != 1 for b in range(n)):
+            raise InvariantViolation("positions do not extend the hom order")
+        # (a, b) is a cover when b is above a and their interval holds only a and b.
+        self.covers = tuple((a, b) for a in range(n) for b in compress(range(n), rows[a])
+                            if a != b and above[a] & below[b] == 1 << a | 1 << b)
         downs: list[int] = []
-        _extend(below, chains, downs, 0, (), 0, 0)
-        self.antichains = tuple(Antichain(tuple(map(ids.__getitem__, ch))) for ch in chains)
-        self._index = {a.members: idx for idx, a in enumerate(self.antichains)}
-        # v <= w among antichains exactly when downsets[v] is a submask of downsets[w].
+        _extend(self, downs, (1 << n) - 1, 0)
         self.downsets = tuple(downs)
-        # Down-set plan, smallest first: (antichain, the down-set left when
-        # one of its members is removed, that member).  -1 is the empty one.
+        # Plan, smallest first: (down-set, the one left without its top position, that position);
+        # -1 is the empty one.  The top position is maximal, so a member: positions extend the order.
         parent = {0: -1, **{d: k for k, d in enumerate(downs)}}
-        self.plan = tuple(
-            (k, parent[downs[k] & ~(1 << chains[k][-1])], chains[k][-1])
-            for k in sorted(range(len(chains)), key=list(map(int.bit_count, downs)).__getitem__)
-        )
-        # Exchange set: the minimal elements outside a down-set.  A plan step adds x
-        # to its parent, so x leaves and the upper covers of x now minimal join.
-        exchange = {-1: tuple(b for b in range(n) if below[b] == 1 << b)}
-        for k, par, x in self.plan:
-            gained = [c for c in ups[x] if below[c] & ~downs[k] == 1 << c]
-            exchange[k] = tuple(sorted([b for b in exchange[par] if b != x] + gained))
-        self.exchange = tuple(exchange[k] for k in range(len(downs)))
+        tops = [d.bit_length() - 1 for d in downs]
+        order = sorted(range(len(downs)), key=list(map(int.bit_count, downs)).__getitem__)
+        self.plan = tuple([(k, parent[downs[k] ^ 1 << tops[k]], tops[k]) for k in order])
         # tau ids by position, None on the projective; support: the ids a pass reads or writes.
         self.tau_ids = tuple(map(ar.tau_ids.__getitem__, ids))
         self.support = tuple(sorted({*self.element_ids, *self.tau_ids} - {None}))
@@ -127,22 +105,47 @@ class HomPoset:
         except KeyError:
             raise DomainError(f"{x} is not an element of this poset") from None
 
-    def index_of(self, v: Antichain) -> int:
-        try:
-            return self._index[tuple(sorted(v.members))]
-        except KeyError:
-            raise DomainError(f"{v} is not an antichain of this poset") from None
+
+def _extend(p: HomPoset, downs: list[int], free: int, down: int) -> None:
+    """Append, depth first, the down-set mask of each antichain that adds positions of
+    the mask `free` to an antichain with down-set `down`; refuse past ANTICHAIN_BUDGET.
+    `free` holds later positions only, and no later position is below an earlier one."""
+    while free:
+        k = (free & -free).bit_length() - 1
+        free ^= 1 << k
+        if len(downs) == ANTICHAIN_BUDGET:
+            raise ResourceLimitError(f"vertex {p.vertex} has more than {ANTICHAIN_BUDGET} antichains")
+        downs.append(down | p.below[k])
+        _extend(p, downs, free & ~p.above[k], downs[-1])
 
 
-def _extend(below: list[int], chains: list, downs: list, start: int, chosen: tuple[int, ...],
-            mask: int, down: int) -> None:
-    """Append, depth first, each antichain that adds positions >= start to `chosen`
-    (members `mask`, down-set `down`) and its down-set mask."""
-    for k in range(start, len(below)):
-        if not (below[k] & mask or down >> k & 1):
-            chains.append(chosen + (k,))
-            downs.append(down | below[k])
-            _extend(below, chains, downs, k + 1, chains[-1], mask | 1 << k, downs[-1])
+def _maximal(p: HomPoset, down: int) -> list[int]:
+    """A down-set's antichain: its maximal positions, ascending.  Positions extend the
+    order, so the top position left is maximal each time."""
+    members = []
+    while down:
+        members.append(down.bit_length() - 1)
+        down &= ~p.below[members[-1]]
+    return members[::-1]
+
+
+def _exchange(p: HomPoset, down: int) -> list[int]:
+    """A down-set's exchange set: the minimal positions outside it, ascending.  The
+    lowest position left outside is minimal each time."""
+    outside, out = ~down & (1 << len(p)) - 1, []
+    while outside:
+        out.append((outside & -outside).bit_length() - 1)
+        outside &= ~p.above[out[-1]]
+    return out
+
+
+def _downset(p: HomPoset, v: Antichain) -> int:
+    """The down-set mask of v, in any member order; DomainError unless v is an antichain of p."""
+    pos = sorted([p._pos.get(x, -1) for x in v.members])
+    down = reduce(or_, [p.below[b] for b in pos if b >= 0], 0)
+    if _maximal(p, down) != pos:
+        raise DomainError(f"{v} is not an antichain of this poset")
+    return down
 
 
 # Vertex tables by AR quiver, each built on first use.  The keys are weak
@@ -167,14 +170,14 @@ def hom_poset(ar: ARQuiver, i: int) -> HomPoset:
 
 def antichains(p: HomPoset) -> tuple[Antichain, ...]:
     """All nonempty antichains, in lexicographic order of member positions."""
-    return p.antichains
+    ids = p.element_ids
+    return tuple([Antichain(tuple([ids[b] for b in _maximal(p, d)])) for d in p.downsets])
 
 
 def antichain_leq(p: HomPoset, v: Antichain, w: Antichain) -> bool:
     """v <= w iff every member of v has a nonzero map to some member of w."""
-    return all(
-        any(p.leq[p.pos(b)][p.pos(c)] for c in w.members) for b in v.members
-    )
+    down = reduce(or_, [p.below[p.pos(c)] for c in w.members])
+    return all(down >> p.pos(b) & 1 for b in v.members)
 
 
 def _contributions(p: HomPoset, m: ModuleClass) -> list[int]:
@@ -189,9 +192,8 @@ def _contributions(p: HomPoset, m: ModuleClass) -> list[int]:
 def antichain_score(ar: ARQuiver, m: ModuleClass, i: int, v: Antichain) -> int:
     """Net multiplicity below v: sum of mu_B(M) - mu_{tau B}(M) over B <= v."""
     p = hom_poset(ar, i)
-    contrib = _contributions(p, m)
-    down = p.downsets[p.index_of(v)]
-    return sum(c for b, c in enumerate(contrib) if down >> b & 1)
+    down = _downset(p, v)
+    return sum(c for b, c in enumerate(_contributions(p, m)) if down >> b & 1)
 
 
 def _scores(p: HomPoset, m: ModuleClass) -> tuple[int, list[int]]:
@@ -214,19 +216,7 @@ def epsilon_i(ar: ARQuiver, m: ModuleClass, i: int) -> int:
 
 def exchange_set(p: HomPoset, v: Antichain) -> tuple[Indec, ...]:
     """Minimal elements among those not below v; their tau translates get swapped."""
-    return tuple(p.elements[b] for b in p.exchange[p.index_of(v)])
-
-
-def _unique_extremum(p: HomPoset, candidates: list[int], maximal: bool) -> int:
-    """The candidate whose down-set holds (maximal) or lies in (minimal) all the others'."""
-    down = p.downsets
-    bound = reduce(or_ if maximal else and_, [down[v] for v in candidates])
-    for v in candidates:
-        if down[v] == bound:
-            return v
-    raise InvariantViolation(
-        f"score maximizers lack a unique {'maximal' if maximal else 'minimal'} element"
-    )
+    return tuple([p.elements[b] for b in _exchange(p, _downset(p, v))])
 
 
 def f_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass:
@@ -240,25 +230,29 @@ def e_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass | None:
 
 
 def _score_pass(ar: ARQuiver, m: ModuleClass, i: int) -> tuple[int, ModuleClass, ModuleClass | None]:
-    """epsilon_i(m), f_tilde(m) and e_tilde(m) from one score pass; m is read on the support."""
+    """epsilon_i(m), f_tilde(m) and e_tilde(m) from one score pass; m is read on the support.
+    The maximal maximizer is the OR of the best down-sets and the minimal one their AND,
+    as the best down-sets are closed under union and intersection (checked)."""
     p = hom_poset(ar, i)
     best, scores = _scores(p, m)
-    candidates = [k for k, s in enumerate(scores) if s == best]
-    lowered = _swap(p, m, _unique_extremum(p, candidates, maximal=True), 1)
-    raised = _swap(p, m, _unique_extremum(p, candidates, maximal=False), -1) if best else None
-    return best, lowered, raised
+    best_downs = list(compress(p.downsets, map(best.__eq__, scores)))
+    top, bottom = reduce(or_, best_downs), reduce(and_, best_downs)
+    for down, kind in ((top, "maximal"), (bottom, "minimal")):
+        if down not in best_downs:
+            raise InvariantViolation(f"score maximizers lack a unique {kind} element")
+    return best, _swap(p, m, top, 1), _swap(p, m, bottom, -1) if best else None
 
 
-def _swap(p: HomPoset, m: ModuleClass, v: int, step: int) -> ModuleClass:
-    """Move `step` summands from tau of the exchange set of v onto v (-1: back)."""
+def _swap(p: HomPoset, m: ModuleClass, down: int, step: int) -> ModuleClass:
+    """Move `step` summands from tau of the exchange set onto the antichain of a down-set (-1: back)."""
     mults = list(m.mults)
-    for b in p.exchange[v]:
+    for b in _exchange(p, down):
         t = p.tau_ids[b]
         if t is None:
             raise InvariantViolation("exchange set contains the projective cover")
         mults[t] -= step
-    for xid in p.antichains[v].members:
-        mults[xid] += step
+    for b in _maximal(p, down):
+        mults[p.element_ids[b]] += step
     if min(mults) < 0:
         raise InvariantViolation("swapped-out summand missing from the class")
     return ModuleClass._make((tuple(mults),))  # _make skips __new__'s second scan

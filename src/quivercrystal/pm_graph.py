@@ -31,8 +31,9 @@ take a white, so the recursion is about log2(limit) deep.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, chain, compress
-from operator import itemgetter
+from operator import itemgetter, or_
 from weakref import WeakKeyDictionary
 
 # tau_inv_class goes unused here: perfbench/tracing.py patches it.
@@ -194,11 +195,14 @@ _by_poset: WeakKeyDictionary[HomPoset, tuple] = WeakKeyDictionary()
 
 
 def _poset_skeleton(ar: ARQuiver, i: int) -> tuple:
-    """The vertex-i skeleton and pickers, read from the Hom table of `ar` alone."""
-    labels = tuple(x.id for x in ar.indecs if ar.hom_dim(x, ar.simple(i)) >= 1)
-    above = {a: [b for b in labels if b != a and ar.hom_dim(a, b) >= 1] for a in labels}
-    # The covers: the transitive reduction of Hom != 0.
-    covers = [(a, b) for a in labels for b in above[a] if all(b not in above[c] for c in above[a])]
+    """The vertex-i skeleton and pickers, read from the Hom rows of `ar` alone."""
+    rows = ar.hom_rows
+    labels = tuple(compress(range(len(rows)), map(itemgetter(ar.simple(i).id), rows)))
+    bits = [1 << k for k in range(len(labels))]
+    # ups[k]: the labels strictly above label k, as a mask; cuts[k]: its covers, in no up-set of those.
+    ups = [sum(compress(bits, map(rows[a].__getitem__, labels))) & ~bit for a, bit in zip(labels, bits)]
+    cuts = [up & ~reduce(or_, compress(ups, map(up.__and__, bits)), 0) for up in ups]
+    covers = [(a, b) for a, cut in zip(labels, cuts) for b in compress(labels, map(cut.__and__, bits))]
     red_pos = tuple(k for k, x in enumerate(labels) if ar.tau_ids[x] is not None)
     pick_red = _picker(tuple(ar.tau_ids[labels[k]] for k in red_pos))
     return _skeleton(labels, covers), _picker(labels), red_pos, pick_red

@@ -45,12 +45,12 @@ def hom_to_simple(ar, m, i):
 
 
 def leq_elements(p, a, b):
-    return p.leq[p.pos(a)][p.pos(b)]
+    return bool(p.above[p.pos(a)] >> p.pos(b) & 1)
 
 
 def minimum(p):
-    return p.elements[[all(row) for row in p.leq].index(True)]
+    return p.elements[p.above.index((1 << len(p)) - 1)]
 
 
 def maximum(p):
-    return p.elements[[all(col) for col in zip(*p.leq)].index(True)]
+    return p.elements[p.below.index((1 << len(p)) - 1)]

@@ -12,6 +12,7 @@ from quivercrystal import ar_quiver
 from quivercrystal import (
     DomainError,
     InvariantViolation,
+    ResourceLimitError,
     all_orientations,
     build_ar,
     diagram,
@@ -333,3 +334,13 @@ def test_deterministic_indec_order():
     ar2 = build_ar(parse_quiver(A3_MIDDLE))
     assert [x.dim for x in ar1.indecs] == [x.dim for x in ar2.indecs]
     assert ar1.to_json() == ar2.to_json()
+
+
+def test_a_hom_table_past_its_budget_is_refused_before_knitting(monkeypatch):
+    """A3 has 6 indecomposables: 36 Hom entries fit a budget of 36 and are refused at 35."""
+    monkeypatch.setattr(ar_quiver, "HOM_TABLE_BUDGET", 36)
+    assert len(build_ar(parse_quiver(A3_MIDDLE)).hom_rows) == 6
+    monkeypatch.setattr(ar_quiver, "HOM_TABLE_BUDGET", 35)
+    monkeypatch.setattr(ar_quiver, "_paths_dims", None)  # nothing may be knitted before the refusal
+    with pytest.raises(ResourceLimitError, match="^Hom table of A3: 6\\^2 entries exceed 35$"):
+        build_ar(parse_quiver(A3_MIDDLE))

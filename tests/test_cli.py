@@ -73,6 +73,29 @@ def test_special_on_a_large_rank_is_a_resource_limit(name, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"resource limit: {message}\n")
 
 
+def _alternating(n):
+    return f"A{n}: " + ", ".join(f"{a}->{a + 1}" if a % 2 else f"{a + 1}->{a}" for a in range(1, n))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["epsilon", "--quiver", _alternating(22), "--module", "{}", "-i", "11"],
+     "vertex 11 has more than 1000000 antichains"),
+    (["epsilon", "--quiver", _alternating(26), "--module", "{}", "-i", "13"],
+     "vertex 13 has more than 1000000 antichains"),
+    (["ar", "--quiver", "A160: " + ", ".join(f"{a}->{a + 1}" for a in range(1, 160))],
+     "Hom table of A160: 12880^2 entries exceed 16777216"),
+], ids=["antichains-a22", "antichains-a26", "hom-table-a160"])
+def test_a_table_past_its_budget_is_a_resource_limit(argv, message):
+    """Refused with one message line while the table is built, in a child capped at 1 GiB."""
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "quivercrystal", *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=_cap_memory, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"resource limit: {message}\n")
+
+
 def test_special_a3_all_orientations(capsys):
     code, out, _ = run_cli(capsys, "special", "A3", "--format", "json")
     assert code == 0

@@ -15,6 +15,7 @@ from quivercrystal import (
     DomainError,
     InvariantViolation,
     ModuleClass,
+    ResourceLimitError,
     antichain_leq,
     antichain_score,
     antichains,
@@ -98,14 +99,22 @@ def _positions(mask):
 
 
 def test_vertex_tables_match_their_definitions():
-    """Every table of a vertex poset, recomputed from `leq` by brute force."""
+    """Every table of a vertex poset, and what is read off it, recomputed by brute force
+    from the Hom table."""
     diagrams = [diagram("A", n) for n in range(1, 7)] + [diagram("D", 4), diagram("D", 5)]
     for q in (q for d in diagrams for q in special_orientations(d)):
         ar = build_ar(q)
         for i in range(1, ar.rank + 1):
             p = hom_poset(ar, i)
-            n, leq = len(p), p.leq
+            n, ids = len(p), p.element_ids
             assert n <= 12
+            leq = [[ar.hom_dim(a, b) > 0 for b in ids] for a in ids]
+            assert [_positions(m) for m in p.below] == [
+                {a for a in range(n) if leq[a][b]} for b in range(n)
+            ]
+            assert [_positions(m) for m in p.above] == [
+                {b for b in range(n) if leq[a][b]} for a in range(n)
+            ]
             assert p.covers == tuple(
                 (a, b)
                 for a in range(n)
@@ -119,7 +128,7 @@ def test_vertex_tables_match_their_definitions():
                 for ch in subsets
                 if not any(leq[a][b] for a in ch for b in ch if a != b)
             )
-            assert [tuple(p.pos(x) for x in v.members) for v in p.antichains] == chains
+            assert [tuple(p.pos(x) for x in v.members) for v in antichains(p)] == chains
             downs = [_positions(d) for d in p.downsets]
             assert downs == [
                 {b for b in range(n) if any(leq[b][c] for c in ch)} for ch in chains
@@ -130,11 +139,11 @@ def test_vertex_tables_match_their_definitions():
                 assert parent in done and x in chains[k]
                 assert (downs[parent] if parent >= 0 else set()) == downs[k] - {x}
                 done.add(k)
-            for ch, down, ex in zip(chains, downs, p.exchange):
+            for ch, down in zip(chains, downs):
                 outside = [b for b in range(n) if b not in down]
-                assert ex == tuple(
-                    b for b in outside if not any(leq[c][b] for c in outside if c != b)
-                )
+                want = [b for b in outside if not any(leq[c][b] for c in outside if c != b)]
+                got = exchange_set(p, Antichain(tuple(ids[b] for b in ch)))
+                assert [p.pos(x) for x in got] == want
 
 
 def _poset_with_relation(changes):
@@ -158,6 +167,7 @@ def _poset_with_relation(changes):
         ({((1, 1, 1), (1, 1, 1)): 0}, "hom order not reflexive"),
         ({((1, 1, 0), (0, 1, 1)): 1, ((0, 1, 1), (1, 1, 0)): 1}, "hom order not antisymmetric"),
         ({((1, 1, 0), (0, 1, 1)): 1, ((1, 1, 1), (0, 1, 1)): 0}, "hom order not transitive"),
+        ({((1, 1, 0), (0, 1, 1)): 1}, "positions do not extend the hom order"),
     ],
 )
 def test_poset_rejects_a_hom_relation_that_is_not_an_order(changes, message):
@@ -165,18 +175,35 @@ def test_poset_rejects_a_hom_relation_that_is_not_an_order(changes, message):
         _poset_with_relation(changes)
 
 
-def test_unique_extremum_of_score_maximizers():
+def test_unique_extremum_of_score_maximizers(monkeypatch):
+    """Faults injected through `_scores`: a pass lowers at the OR of the best down-sets and
+    raises at their AND, and refuses unless both are among them."""
     ar = ar_of(A3_MIDDLE)
-    p = hom_poset(ar, 2)
-    left, right = (p.index_of(singleton(ar, dim)) for dim in ((1, 1, 0), (0, 1, 1)))
-    for maximal in (True, False):
-        with pytest.raises(InvariantViolation, match="unique"):
-            crystal_ops._unique_extremum(p, [left, right], maximal)
-    pair = Antichain(tuple(sorted((ar.by_dim[(1, 1, 0)].id, ar.by_dim[(0, 1, 1)].id))))
-    bottom, top = (p.index_of(singleton(ar, dim)) for dim in ((1, 1, 1), (0, 1, 0)))
-    chain = [p.index_of(pair), top, left, bottom]
-    assert crystal_ops._unique_extremum(p, chain, maximal=True) == top
-    assert crystal_ops._unique_extremum(p, chain, maximal=False) == bottom
+    p, m = hom_poset(ar, 2), worked_class(ar)
+    left, right, top, bottom = (singleton(ar, d) for d in ((1, 1, 0), (0, 1, 1), (0, 1, 0), (1, 1, 1)))
+    pair = Antichain(tuple(sorted(left.members + right.members)))
+
+    def best_at(*best):
+        scores = [int(v in best) for v in antichains(p)]
+        monkeypatch.setattr(crystal_ops, "_scores", lambda p, m: (1, scores))
+
+    def moved(v, step):
+        mults = list(m.mults)
+        for x in exchange_set(p, v):
+            mults[ar.tau(x).id] -= step
+        for x in v.members:
+            mults[x] += step
+        return ModuleClass(tuple(mults))
+
+    best_at(left, right)
+    with pytest.raises(InvariantViolation, match="lack a unique maximal element"):
+        f_tilde(ar, m, 2)
+    best_at(left, right, pair)
+    with pytest.raises(InvariantViolation, match="lack a unique minimal element"):
+        e_tilde(ar, m, 2)
+    best_at(pair, top, left, bottom)
+    assert f_tilde(ar, m, 2) == moved(top, 1)
+    assert e_tilde(ar, m, 2) == moved(bottom, -1)
 
 
 def test_antichains_of_chain_are_singletons():
@@ -470,6 +497,16 @@ def test_ar_quiver_is_not_written_after_construction():
     assert all(after[k] is v for k, v in before.items())
     assert {k: after[k] for k in dicts} == dicts
 
+
+
+def test_a_vertex_table_at_its_antichain_budget(monkeypatch):
+    """The diamond's 5 antichains fit a budget of 5 and are refused at 4."""
+    ar = build_ar(parse_quiver(A3_MIDDLE))
+    monkeypatch.setattr(crystal_ops, "ANTICHAIN_BUDGET", 5)
+    assert len(HomPoset(ar, 2).downsets) == 5
+    monkeypatch.setattr(crystal_ops, "ANTICHAIN_BUDGET", 4)
+    with pytest.raises(ResourceLimitError, match="^vertex 2 has more than 4 antichains$"):
+        HomPoset(ar, 2)
 
 
 def test_vertex_tables_are_built_only_when_asked(monkeypatch):

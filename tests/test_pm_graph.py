@@ -606,6 +606,32 @@ def test_skeleton_up_closures_are_the_hom_table(kind, rank):
                 ), (q.text_spec(), i, x)
 
 
+def _skeleton_by_hom_dim(ar, i):
+    """The skeleton as it was read before the Hom rows: n^2 hom_dim calls and a cubic
+    cover scan."""
+    labels = tuple(x.id for x in ar.indecs if ar.hom_dim(x, ar.simple(i)) >= 1)
+    above = {a: [b for b in labels if b != a and ar.hom_dim(a, b) >= 1] for a in labels}
+    covers = [(a, b) for a in labels for b in above[a] if all(b not in above[c] for c in above[a])]
+    return MultiplicityGraph(labels, covers, {}, {})._skeleton
+
+
+@pytest.mark.parametrize("kind,rank", [("D", 4), ("D", 5), ("D", 6), ("D", 7), ("E", 6), ("E", 7)])
+def test_skeleton_from_the_hom_rows_is_unchanged(kind, rank):
+    """The skeleton read row by row equals the one read by hom_dim calls, and the
+    pickers read mu_B and mu_{tau B} at the labels, on every special orientation."""
+    from quivercrystal import build_ar, diagram, special_orientations
+
+    for q in special_orientations(diagram(kind, rank)):
+        ar = build_ar(q)
+        probe = tuple(range(len(ar)))
+        for i in range(1, rank + 1):
+            sk, pick_white, red_pos, pick_red = _poset_skeleton(ar, i)
+            assert sk == _skeleton_by_hom_dim(ar, i), (q.text_spec(), i)
+            assert pick_white(probe) == sk[0]
+            assert red_pos == tuple(k for k, x in enumerate(sk[0]) if ar.tau_ids[x] is not None)
+            assert pick_red(probe) == tuple(ar.tau_ids[sk[0][k]] for k in red_pos)
+
+
 def test_a_redundant_cover_leaves_the_up_closures_unchanged():
     ar = ar_of(A3_MIDDLE)
     p = hom_poset(ar, 2)
