@@ -26,8 +26,18 @@ from .dynkin import Weight, coroot_pairing
 from .errors import ANTICHAIN_BUDGET, DomainError, InvariantViolation, ResourceLimitError
 
 __all__ = [
-    "HomPoset", "Antichain", "hom_poset", "antichains", "antichain_leq", "antichain_score",
-    "epsilon_i", "exchange_set", "f_tilde", "e_tilde", "weight_of", "phi_i",
+    "HomPoset",
+    "Antichain",
+    "hom_poset",
+    "antichains",
+    "antichain_leq",
+    "antichain_score",
+    "epsilon_i",
+    "exchange_set",
+    "f_tilde",
+    "e_tilde",
+    "weight_of",
+    "phi_i",
 ]
 
 
@@ -120,23 +130,13 @@ def _extend(p: HomPoset, downs: list[int], free: int, down: int) -> None:
 
 
 def _maximal(p: HomPoset, down: int) -> list[int]:
-    """A down-set's antichain: its maximal positions, ascending.  Positions extend the
-    order, so the top position left is maximal each time."""
-    members = []
-    while down:
-        members.append(down.bit_length() - 1)
-        down &= ~p.below[members[-1]]
-    return members[::-1]
+    """A down-set's antichain: the positions of the mask with nothing else of it above."""
+    return [b for b, up in enumerate(p.above) if up & down == 1 << b]
 
 
 def _exchange(p: HomPoset, down: int) -> list[int]:
-    """A down-set's exchange set: the minimal positions outside it, ascending.  The
-    lowest position left outside is minimal each time."""
-    outside, out = ~down & (1 << len(p)) - 1, []
-    while outside:
-        out.append((outside & -outside).bit_length() - 1)
-        outside &= ~p.above[out[-1]]
-    return out
+    """A down-set's exchange set: the positions outside it with all else below them inside."""
+    return [b for b, low in enumerate(p.below) if low & ~down == 1 << b]
 
 
 def _downset(p: HomPoset, v: Antichain) -> int:
@@ -232,11 +232,13 @@ def e_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass | None:
 def _score_pass(ar: ARQuiver, m: ModuleClass, i: int) -> tuple[int, ModuleClass, ModuleClass | None]:
     """epsilon_i(m), f_tilde(m) and e_tilde(m) from one score pass; m is read on the support.
     The maximal maximizer is the OR of the best down-sets and the minimal one their AND,
-    as the best down-sets are closed under union and intersection (checked)."""
+    as the best down-sets are closed under union and intersection (checked; the AND only
+    when e_tilde(m) exists)."""
     p = hom_poset(ar, i)
     best, scores = _scores(p, m)
     best_downs = list(compress(p.downsets, map(best.__eq__, scores)))
-    top, bottom = reduce(or_, best_downs), reduce(and_, best_downs)
+    top = reduce(or_, best_downs)
+    bottom = reduce(and_, best_downs) if best else top
     for down, kind in ((top, "maximal"), (bottom, "minimal")):
         if down not in best_downs:
             raise InvariantViolation(f"score maximizers lack a unique {kind} element")

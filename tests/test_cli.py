@@ -83,7 +83,7 @@ def _alternating(n):
     (["epsilon", "--quiver", _alternating(26), "--module", "{}", "-i", "13"],
      "vertex 13 has more than 1000000 antichains"),
     (["ar", "--quiver", "A160: " + ", ".join(f"{a}->{a + 1}" for a in range(1, 160))],
-     "Hom table of A160: 12880^2 entries exceed 16777216"),
+     "Hom table of A160: 12880^2 entries exceed 67108864"),
 ], ids=["antichains-a22", "antichains-a26", "hom-table-a160"])
 def test_a_table_past_its_budget_is_a_resource_limit(argv, message):
     """Refused with one message line while the table is built, in a child capped at 1 GiB."""

@@ -232,22 +232,12 @@ def referenced_names(node: ast.AST) -> Counter:
     return found
 
 
-def patched_names(node: ast.AST) -> Counter:
-    """The attributes named by ("owner", "attribute") string pairs under `node`: the
-    places the benchmark tracer patches, which must exist to be patched."""
-    pairs = (n.elts for n in ast.walk(node) if isinstance(n, ast.Tuple) and len(n.elts) == 2)
-    return Counter(b.value for a, b in pairs if all(
-        isinstance(e, ast.Constant) and isinstance(e.value, str) for e in (a, b)))
-
-
 def uncalled_definitions(library: list[Path], callers: list[Path], exempt: set) -> list[str]:
     """'module.name' for each function, method or class defined in `library` whose name
-    appears nowhere in `library` or `callers` outside its own definition, nor as a patch
-    target in `callers`.  Names in `exempt` and dunder methods, which Python calls by
-    protocol, are skipped."""
+    appears nowhere in `library` or `callers` outside its own definition.  Names in
+    `exempt` and dunder methods, which Python calls by protocol, are skipped."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in [*library, *callers]}
     used = sum((referenced_names(tree) for tree in trees.values()), Counter())
-    used += sum((patched_names(trees[path]) for path in callers), Counter())
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return sorted(
         f"{path.stem}.{d.name}"
@@ -264,8 +254,11 @@ def test_every_definition_has_a_caller_outside_the_tests():
     library = sorted((SRC / "quivercrystal").glob("*.py"))
     callers = sorted((SRC.parent / "perfbench").glob("*.py"))
     exported = {name for names in quivercrystal._EXPORTS.values() for name in names.split()}
+    # ARQuiver.hom_dim has no library caller, but perfbench/tracing.py patches it by
+    # name and fails without it; it can move to the tests once the tracer drops its
+    # hooks (ROADMAP item 5).
     assert callers
-    assert uncalled_definitions(library, callers, exported) == []
+    assert uncalled_definitions(library, callers, exported | {"hom_dim"}) == []
 
 
 def test_every_module_parses_as_the_oldest_supported_python():
