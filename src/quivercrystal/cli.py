@@ -74,10 +74,10 @@ def _cmd_ar(args) -> int:
     return 0
 
 
-def _hom_poset_doc(ar, p):
+def _hom_poset_doc(p):
     return {
         "i": p.vertex,
-        "elements": [list(ar.indecs[xid].dim) for xid in p.element_ids],
+        "elements": [list(x.dim) for x in p.elements],
         "leq": [[a, b] for a, up in enumerate(p.above) for b in range(len(p)) if up >> b & 1],
         "covers": [list(c) for c in p.covers],
     }
@@ -88,11 +88,10 @@ def _cmd_poset(args) -> int:
     ar = build_ar(parse_quiver(args.quiver))
     p = crystal_ops.hom_poset(ar, args.i)
     if args.format == "json":
-        print(_dump(_hom_poset_doc(ar, p)))
+        print(_dump(_hom_poset_doc(p)))
         return 0
     print(f"poset at vertex {p.vertex}: {len(p)} elements")
-    for xid in p.element_ids:
-        x = ar.indecs[xid]
+    for x in p.elements:
         tags = []
         if x.projective_vertex == p.vertex:
             tags.append("min=P(%d)" % p.vertex)
@@ -100,7 +99,7 @@ def _cmd_poset(args) -> int:
             tags.append("max=S(%d)" % p.vertex)
         print("  " + str(x) + ("  " + " ".join(tags) if tags else ""))
     for a, b in p.covers:
-        print(f"cover: {ar.indecs[p.element_ids[a]]} <= {ar.indecs[p.element_ids[b]]}")
+        print(f"cover: {p.elements[a]} <= {p.elements[b]}")
     return 0
 
 
