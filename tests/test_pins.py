@@ -80,6 +80,27 @@ def test_antichains_json_at_every_vertex_of_the_cli_mix_e7(capsys):
         assert sha(out) == PINS["antichains_json_e7"][str(i)], i
 
 
+def test_antichains_text_at_every_vertex_of_the_cli_mix_e7(capsys):
+    for i in range(1, 8):
+        code, out, err = run(capsys, ["antichains", "--quiver", CLI_MIX_E7, "-i", str(i)])
+        assert (code, err) == (0, "")
+        assert sha(out) == PINS["antichains_text_e7"][str(i)], i
+
+
+def test_cli_mix_graph_d4(capsys):
+    code, out, err = run(capsys, ["graph", "--quiver", "D4: 1->2, 2->3, 2->4", "--depth", "6"])
+    assert (code, err) == (0, "")
+    assert sha(out) == PINS["graph_d4"]
+
+
+def test_pm_dot_of_the_cli_mix_a3_class(capsys):
+    code, out, err = run(capsys, ["epsilon", "--quiver", "A3: 2->1, 2->3", "--module",
+                                  '{"1,1,1":2,"1,0,0":1,"0,1,1":1,"0,1,0":1}', "-i", "2",
+                                  "--pm-dot"])
+    assert (code, err) == (0, "")
+    assert sha(out) == PINS["pm_dot_a3"]
+
+
 def test_special_output(capsys):
     for name, want in PINS["special"].items():
         code, out, err = run(capsys, ["special", *name.split()])
