@@ -12,6 +12,7 @@ import json
 import random
 import re
 import sys
+from itertools import chain, islice
 
 # Each subcommand imports the modules it needs beyond these: crystal_ops
 # for the operators, crystal_graph for graph and check, pm_graph only on
@@ -32,6 +33,14 @@ _OP_RE = re.compile(r"^([fe])(\d+)$")
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _stream(parts) -> None:
+    """Write the strings of an iterable to stdout, joined 4,096 at a time: a long output
+    is never held whole, nor sent to a pipe in many small writes."""
+    parts = iter(parts)
+    while chunk := "".join(islice(parts, 4096)):
+        sys.stdout.write(chunk)
 
 
 def _parse_diagram(text: str):
@@ -104,22 +113,21 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_antichains(args) -> int:
+    """Each antichain is written as it is read off its down-set mask; the JSON is
+    _dump's text of {"i": vertex, "antichains": [the member dims of each]}."""
     from . import crystal_ops
     ar = build_ar(parse_quiver(args.quiver))
     p = crystal_ops.hom_poset(ar, args.i)
-    chains = crystal_ops.antichains(p)
+    members = crystal_ops._antichain_ids(p)
     if args.format == "json":
-        doc = {
-            "i": p.vertex,
-            "antichains": [
-                [list(ar.indecs[xid].dim) for xid in a.members] for a in chains
-            ],
-        }
-        print(_dump(doc))
+        dims = {xid: _dump(list(ar.indecs[xid].dim)) for xid in p.element_ids}
+        rows = (",[" + ",".join(map(dims.__getitem__, ids)) + "]" for ids in members)
+        # The poset holds S(i), so there is a first antichain: it alone loses its comma.
+        _stream(chain(['{"antichains":[', next(rows)[1:]], rows, [f'],"i":{p.vertex}}}\n']))
         return 0
-    print(f"{len(chains)} antichains at vertex {p.vertex}")
-    for a in chains:
-        print("  " + " + ".join(str(ar.indecs[xid]) for xid in a.members))
+    names = {xid: str(ar.indecs[xid]) for xid in p.element_ids}
+    _stream(chain([f"{len(p.downsets)} antichains at vertex {p.vertex}\n"],
+                  ("  " + " + ".join(map(names.__getitem__, ids)) + "\n" for ids in members)))
     return 0
 
 
@@ -184,7 +192,7 @@ def _cmd_epsilon(args) -> int:
         n = g.sink + 1  # from the counts, before any per-node work
         if n > args.limit:
             raise ResourceLimitError(f"multiplicity graph of {n} nodes exceeds {args.limit}")
-        print(g.to_dot(), end="")
+        _stream(g.dot_lines())
         return 0
     eps = crystal_ops.epsilon_i(ar, m, args.i)
     doc: dict = {"i": args.i, "epsilon": eps}

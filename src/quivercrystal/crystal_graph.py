@@ -135,6 +135,7 @@ def generate(
     vertices: dict[Key, VertexData | tuple[Weight, Weight]] = {root: (zero, zero)}
     levels: list[list[Key]] = [[root]]
     edges: list[tuple[Key, int, Key]] = []
+    same: dict[Key, Key] = {}  # one tuple per distinct edge target, epsilon, phi and weight value
     for level in range(depth + 1):
         nxt: list[Key] = []
         for key in levels[level]:
@@ -146,6 +147,7 @@ def generate(
                 if level == depth:
                     continue
                 tgt = tuple(map(add, key, step))
+                tgt = same.setdefault(tgt, tgt)
                 if tgt not in vertices:
                     if len(vertices) >= max_vertices:
                         raise ResourceLimitError(
@@ -156,7 +158,9 @@ def generate(
                     nxt.append(tgt)
                 edges.append((key, i, tgt))
             eps = tuple(eps)
-            vertices[key] = VertexData(level, eps, tuple(map(add, eps, pairings)), wt)
+            eps = same.setdefault(eps, eps)
+            phi = tuple(map(add, eps, pairings))
+            vertices[key] = VertexData(level, eps, same.setdefault(phi, phi), same.setdefault(wt, wt))
         if level < depth:
             levels.append(sorted(nxt))
     return CrystalGraph(ar, depth, vertices, edges, levels)
@@ -315,9 +319,11 @@ def graph_from_json(text: str) -> CrystalGraph:
     """
     from .ar_quiver import module_from_json
 
-    # Each distinct key string is parsed and validated once per call, each canonical field once.
+    # Each distinct key string is parsed and validated once per call, each canonical field once;
+    # the vertex records share one tuple per distinct epsilon, phi and weight value.
     parsed: dict[str, Key] = {}
     fields: dict[str, tuple[int, int, int]] = {}
+    same: dict[Key, Key] = {}
 
     def key_of(name: str) -> Key:
         key = parsed.get(name)
@@ -330,7 +336,8 @@ def graph_from_json(text: str) -> CrystalGraph:
         xs = v[field]
         if type(xs) is not list or len(xs) != n or {*map(type, xs)} != {int}:
             raise QuiverParseError(f"vertex {field} must be a list of {n} JSON integers")
-        return tuple(xs)
+        xs = tuple(xs)
+        return same.setdefault(xs, xs)
 
     try:
         doc = json.loads(text)
@@ -343,7 +350,7 @@ def graph_from_json(text: str) -> CrystalGraph:
             raise QuiverParseError(f"depth {depth} needs at least {depth + 1} vertices")
         vertices: dict[Key, VertexData] = {}
         levels: list[list[Key]] = [[] for _ in range(depth + 1)]
-        for v in doc["vertices"]:
+        for v in doc.pop("vertices"):  # the parsed list goes once read, before the edges
             key = key_of(v["key"])
             if key in vertices:
                 raise QuiverParseError(f"vertex {v['key']!r} listed twice")

@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import compress
 from operator import and_, itemgetter, neg, or_
 from threading import Lock
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 from weakref import WeakKeyDictionary
 
 from .ar_quiver import ARQuiver, Indec, ModuleClass
@@ -170,8 +170,15 @@ def hom_poset(ar: ARQuiver, i: int) -> HomPoset:
 
 def antichains(p: HomPoset) -> tuple[Antichain, ...]:
     """All nonempty antichains, in lexicographic order of member positions."""
+    return tuple(map(Antichain, _antichain_ids(p)))
+
+
+def _antichain_ids(p: HomPoset) -> Iterator[tuple[int, ...]]:
+    """The member ids of each nonempty antichain, in the order of `antichains`, each read
+    off its down-set mask when asked."""
     ids = p.element_ids
-    return tuple([Antichain(tuple([ids[b] for b in _maximal(p, d)])) for d in p.downsets])
+    for d in p.downsets:
+        yield tuple([ids[b] for b in _maximal(p, d)])
 
 
 def antichain_leq(p: HomPoset, v: Antichain, w: Antichain) -> bool:

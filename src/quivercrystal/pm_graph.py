@@ -21,7 +21,8 @@ the red count of each label that has reds: nothing per node, so `build_pm`
 is O(labels).  `colors()` derives the chain offsets, white set and red
 order, `layout()` the node names, successors and reach sets (in its own
 sweep from the sink down); neither caches, so each reader calls one once.
-`to_dot` reads the names and successors alone, in O(nodes).  `sink`,
+`dot_lines` reads the names and successors alone, in O(nodes), and makes
+the DOT text a line at a time; `to_dot` joins it.  `sink`,
 `white`, `red`, `red_order` and `reach` alias their parts because the
 benchmark tracer reads them.  The search guard decides from the counts,
 and only a graph that passes it gets its white targets.  The search sends
@@ -34,6 +35,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import accumulate, chain, compress
 from operator import itemgetter, or_
+from typing import Iterator
 from weakref import WeakKeyDictionary
 
 # tau_inv_class goes unused here: perfbench/tracing.py patches it.
@@ -124,10 +126,15 @@ class MultiplicityGraph:
     nodes = property(lambda self: tuple(range(self.sink + 1)))
 
     def to_dot(self) -> str:
+        return "".join(self.dot_lines())
+
+    def dot_lines(self) -> Iterator[str]:
+        """The lines of the DOT text, each ending in a newline, made one at a time."""
         firsts, white, red_order = self.colors()
         red = frozenset(red_order)
         names, succ = _chains(self.labels, self._skeleton[1], firsts)
-        lines = ["digraph pm {", "  rankdir=LR;"]
+        yield "digraph pm {\n"
+        yield "  rankdir=LR;\n"
         for u, (lab, p) in enumerate(names):
             name = f"{lab}({p})" if p else "inf"  # chain positions start at 1, the sink's is 0
             # as a DOT quoted string: backslashes and double quotes escaped
@@ -140,12 +147,11 @@ class MultiplicityGraph:
                 style = "style=filled, fillcolor=white"
             else:
                 style = "style=dashed"
-            lines.append(f'  n{u} [label="{name}", {style}];')
+            yield f'  n{u} [label="{name}", {style}];\n'
         for u, vs in enumerate(succ):
             for v in vs:
-                lines.append(f"  n{u} -> n{v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+                yield f"  n{u} -> n{v};\n"
+        yield "}\n"
 
 
 def _skeleton(labels: tuple, covers) -> tuple:

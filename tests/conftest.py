@@ -1,10 +1,31 @@
 import functools
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from quivercrystal import build_ar, parse_quiver
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_capped(args: list[str], cap: int = 1 << 30, timeout: float = 120):
+    """`python *args` in a child with src on PYTHONPATH and its address space capped at
+    `cap` bytes, so a regression fails the test, not the host; text output captured."""
+    pytest.importorskip("resource")
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), preexec_fn=cap_memory,
+                          timeout=timeout)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,12 +1,9 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from quivercrystal import crystal_graph, crystal_ops
+from conftest import run_capped
+from quivercrystal import build_ar, crystal_graph, crystal_ops, parse_quiver
 from quivercrystal.cli import main
 
 
@@ -53,23 +50,13 @@ def test_special_e8_empty(capsys):
     assert code == 0 and out == ""
 
 
-def _cap_memory():
-    import resource
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a regression fails, not the host
-
-
 @pytest.mark.parametrize("name, message", [
     ("A40", "A40 has 2^39 orientations, more than 200000"),
     ("A99999999999", "rank 99999999999 exceeds 200000 vertices"),
 ])
 def test_special_on_a_large_rank_is_a_resource_limit(name, message):
     """Refused before any orientation or edge is built, in a child capped at 1 GiB."""
-    pytest.importorskip("resource")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "quivercrystal", "special", name],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-                          preexec_fn=_cap_memory, timeout=120)
+    proc = run_capped(["-m", "quivercrystal", "special", name])
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"resource limit: {message}\n")
 
 
@@ -87,13 +74,35 @@ def _alternating(n):
 ], ids=["antichains-a22", "antichains-a26", "hom-table-a160"])
 def test_a_table_past_its_budget_is_a_resource_limit(argv, message):
     """Refused with one message line while the table is built, in a child capped at 1 GiB."""
-    pytest.importorskip("resource")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "quivercrystal", *argv],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-                          preexec_fn=_cap_memory, timeout=120)
+    proc = run_capped(["-m", "quivercrystal", *argv])
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"resource limit: {message}\n")
+
+
+def test_antichains_stream_in_a_child_capped_at_40_mib():
+    """The 24,309 antichains at the middle vertex of alternating A16 are written as they are
+    read off the down-sets, in about 22 MB; the whole JSON document took 55 MB."""
+    argv = ["-m", "quivercrystal", "antichains", "--quiver", _alternating(16), "-i", "9"]
+    ar = build_ar(parse_quiver(_alternating(16)))
+    chains = crystal_ops.antichains(crystal_ops.hom_poset(ar, 9))
+    proc = run_capped([*argv, "--format", "json"], cap=40 << 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "i": 9, "antichains": [[list(ar.indecs[x].dim) for x in a.members] for a in chains]}
+    proc = run_capped(argv, cap=40 << 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    head, *lines = proc.stdout.splitlines()
+    assert head == "24309 antichains at vertex 9" and len(lines) == len(chains) == 24309
+    assert lines[-1] == "  " + " + ".join(str(ar.indecs[x]) for x in chains[-1].members)
+
+
+def test_pm_dot_streams_in_a_child_capped_at_100_mib():
+    """200,003 nodes, 15.3 MB of DOT, written as the lines are made in about 69 MB; the
+    text built whole took 139 MB."""
+    proc = run_capped(["-m", "quivercrystal", "epsilon", "--quiver", "A3: 2->1, 2->3",
+                       "--module", '{"1,1,1":100000}', "-i", "2", "--pm-dot"], cap=100 << 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("digraph pm {\n  rankdir=LR;\n") and proc.stdout.endswith("}\n")
+    assert proc.stdout.count(" [label=") == 200_003 and len(proc.stdout) == 16_044_678
 
 
 def test_special_a3_all_orientations(capsys):

@@ -1,13 +1,9 @@
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import A2, A3_LINEAR, A3_MIDDLE, ar_of
+from conftest import A2, A3_LINEAR, A3_MIDDLE, ar_of, run_capped
 from quivercrystal import (
     CrystalGraph,
     DomainError,
@@ -26,8 +22,6 @@ from quivercrystal import crystal_graph, crystal_ops
 from quivercrystal.crystal_graph import VertexData
 from quivercrystal.dynkin import diagram
 from quivercrystal.errors import QuiverParseError, ResourceLimitError
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_depth_zero():
@@ -449,9 +443,48 @@ def test_graph_from_json_rejects_malformed_documents():
             graph_from_json(text)
 
 
+def test_graph_from_json_messages_for_a_missing_or_unlisted_vertex_list():
+    """The vertex list is read at the depth check, after the depth itself."""
+    doc = json.loads(generate(ar_of(A3_MIDDLE), 2).to_json())
+    no_vertices = {k: v for k, v in doc.items() if k != "vertices"}
+    cases = [
+        (no_vertices, "bad graph JSON: KeyError('vertices')"),
+        (dict(no_vertices, depth="2"), "depth '2' is not a nonnegative JSON integer"),
+        (dict(doc, vertices=5), "bad graph JSON: TypeError(\"object of type 'int' has no len()\")"),
+        (dict(doc, vertices=None),
+         "bad graph JSON: TypeError(\"object of type 'NoneType' has no len()\")"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(QuiverParseError) as exc:
+            graph_from_json(json.dumps(bad))
+        assert str(exc.value) == message
+    # The wording after "integers" varies with the Python version.
+    with pytest.raises(QuiverParseError, match=r"^bad graph JSON: TypeError\(.string indices must"):
+        graph_from_json(json.dumps(dict(doc, vertices="abcdefgh")))
+
+
+def test_vertex_records_share_one_tuple_per_statistic_value():
+    """generate and graph_from_json store one tuple object per distinct epsilon, phi and
+    weight value, and every edge endpoint is the vertex key object itself."""
+    g = generate(ar_of("D4: 1->2, 2->3, 2->4"), 6)
+    back = graph_from_json(g.to_json())
+    assert back.vertices == g.vertices and back.to_json() == g.to_json()
+    for graph in (g, back):
+        records = list(graph.vertices.values())
+        for field in ("epsilon", "phi", "weight"):
+            values = [getattr(d, field) for d in records]
+            assert len({*map(id, values)}) == len(set(values)) < len(values), field
+        keys = {*map(id, graph.vertices)}
+        assert all(id(s) in keys and id(t) in keys for s, _, t in graph.edges)
+    # Assigning a field replaces the shared tuple in that record alone.
+    a, b = [d for d in g.vertices.values() if d.weight == (-1, -1, -1, 0)][:2]
+    assert a.weight is b.weight
+    a.weight = (0, 0, 0, 0)
+    assert b.weight == (-1, -1, -1, 0)
+
+
 HUGE_DEPTH = """\
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a regression fails, not the host
+import sys
 from quivercrystal import QuiverParseError, graph_from_json
 try:
     graph_from_json('{"quiver":"A1:","depth":10000000000,"vertices":[],"edges":[]}')
@@ -462,10 +495,7 @@ except QuiverParseError as exc:
 
 def test_graph_from_json_refuses_a_depth_its_vertices_cannot_fill():
     """generate leaves no level empty, so depth d needs d + 1 vertices; no level is built first."""
-    pytest.importorskip("resource")
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", HUGE_DEPTH], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    proc = run_capped(["-c", HUGE_DEPTH])  # capped at 1 GiB
     assert proc.stderr == "depth 10000000000 needs at least 10000000001 vertices\n"
     doc = json.loads(generate(ar_of(A3_MIDDLE), 2).to_json())
     assert graph_from_json(json.dumps(doc)).depth == 2

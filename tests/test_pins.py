@@ -6,7 +6,10 @@ CLI parser became lazy; every digest must still match.  The tables digest
 covers, per orientation, the indecomposables, arrows, tau ids, Hom table
 and special flag, and for every vertex poset the tables it once stored:
 its order, antichains and exchange sets now come from the public
-functions, which read them off the down-set masks.
+functions, which read them off the down-set masks.  The `graph_d4`,
+`antichains_text_e7` and `pm_dot_a3` digests were written before the
+vertex records shared their statistic tuples and before `antichains` and
+`epsilon --pm-dot` wrote their output as it was made.
 """
 
 import hashlib
