@@ -172,30 +172,19 @@ def kostant_count(q: Quiver, beta: DimVector) -> int:
         raise DomainError(f"{beta} does not match rank {q.diagram.rank}")
     if any(b < 0 for b in beta):
         raise DomainError(f"{beta} has a negative entry")
-    roots = sorted(positive_roots(q), key=lambda r: (-sum(r), r))
-    return _count(roots, {}, 0, tuple(beta))
-
-
-def _count(roots: list, memo: dict, idx: int, rem: DimVector) -> int:
-    """Ways to write rem as a sum of roots[idx:] with repetition; memo keys (idx, rem)."""
-    if not any(rem):
-        return 1
-    if idx == len(roots):
-        return 0
-    state = (idx, rem)
-    if state in memo:
-        return memo[state]
-    r = roots[idx]
-    total = 0
-    cur = rem
-    while True:
-        total += _count(roots, memo, idx + 1, cur)
-        if all(c >= x for c, x in zip(cur, r)):
-            cur = tuple(c - x for c, x in zip(cur, r))
-        else:
-            break
-    memo[state] = total
-    return total
+    # One sweep over the roots, largest first: ways maps each remainder of beta to the
+    # number of ways the roots swept so far take it off beta.
+    ways = {tuple(beta): 1}
+    for r in sorted(positive_roots(q), key=lambda r: (-sum(r), r)):
+        left: dict[DimVector, int] = {}
+        for rem, w in ways.items():
+            while True:
+                left[rem] = left.get(rem, 0) + w
+                if any(c < x for c, x in zip(rem, r)):
+                    break
+                rem = tuple(map(sub, rem, r))
+        ways = left
+    return ways.get((0,) * len(beta), 0)
 
 
 class CheckReport(_Record):
@@ -275,38 +264,32 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
 
 
 def compare_orientations(q1: Quiver, q2: Quiver, depth: int) -> bool:
-    """Forced label-matching BFS from the roots of both bounded graphs."""
+    """Whether the bounded graphs agree once each is numbered by a breadth-first walk."""
     if q1.diagram != q2.diagram:
         raise DomainError("orientations of different diagrams cannot be compared")
     ar1, ar2 = build_ar(q1), build_ar(q2)
     if not (ar1.is_special() and ar2.is_special()):
         raise DomainError("both orientations must be special")
-    g1, g2 = generate(ar1, depth), generate(ar2, depth)
-    if len(g1.vertices) != len(g2.vertices):
-        return False
-    out1 = {(s, i): t for s, i, t in g1.edges}
-    out2 = {(s, i): t for s, i, t in g2.edges}
-    pair = {g1.root: g2.root}
-    rev = {g2.root: g1.root}
-    queue = [(g1.root, g2.root)]
-    while queue:
-        u, v = queue.pop()
-        for i in range(1, q1.diagram.rank + 1):
-            t1, t2 = out1.get((u, i)), out2.get((v, i))
-            if (t1 is None) != (t2 is None):
-                return False
-            if t1 is None:
-                continue
-            if t1 in pair:
-                if pair[t1] != t2:
-                    return False
-            elif t2 in rev:
-                return False
-            else:
-                pair[t1] = t2
-                rev[t2] = t1
-                queue.append((t1, t2))
-    return len(pair) == len(g1.vertices)
+    rank = q1.diagram.rank
+    edges1 = _numbered_edges(generate(ar1, depth), rank)
+    return edges1 is not None and edges1 == _numbered_edges(generate(ar2, depth), rank)
+
+
+def _numbered_edges(g: CrystalGraph, rank: int) -> list[tuple[int, int, int]] | None:
+    """The sorted edges, each vertex numbered in the order a breadth-first walk from the root
+    reaches it, taking labels 1..rank in turn; None when the walk misses a vertex."""
+    out = {(s, i): t for s, i, t in g.edges}
+    order = [g.root]
+    number = {g.root: 0}
+    for u in order:  # the list grows as the walk reaches new vertices
+        for i in range(1, rank + 1):
+            t = out.get((u, i))
+            if t is not None and t not in number:
+                number[t] = len(order)
+                order.append(t)
+    if len(number) != len(g.vertices):
+        return None
+    return sorted([(number[s], i, number[t]) for s, i, t in g.edges])
 
 
 def graph_from_json(text: str) -> CrystalGraph:

@@ -21,13 +21,13 @@ the red count of each label that has reds: nothing per node, so `build_pm`
 is O(labels).  `colors()` derives the chain offsets, white set and red
 order, `layout()` the node names, successors and reach sets (in its own
 sweep from the sink down); neither caches, so each reader calls one once.
-`dot_lines` reads the names and successors alone, in O(nodes), and makes
-the DOT text a line at a time; `to_dot` joins it.  `sink`,
-`white`, `red`, `red_order` and `reach` alias their parts because the
-benchmark tracer reads them.  The search guard decides from the counts,
-and only a graph that passes it gets its white targets.  The search sends
-each red to the sink within one frame and recurses only for those that
-take a white, so the recursion is about log2(limit) deep.
+`dot_lines` makes the DOT text a line at a time from the offsets and the
+counts alone, so it holds O(labels) however long the chains; `to_dot`
+joins it.  `sink`, `white`, `red`, `red_order` and `reach` alias their
+parts because the benchmark tracer reads them.  The search guard decides
+from the counts, and only a graph that passes it gets its white targets.
+The search sends each red to the sink within one frame and recurses only
+for those that take a white, so the recursion is about log2(limit) deep.
 """
 
 from __future__ import annotations
@@ -129,28 +129,29 @@ class MultiplicityGraph:
         return "".join(self.dot_lines())
 
     def dot_lines(self) -> Iterator[str]:
-        """The lines of the DOT text, each ending in a newline, made one at a time."""
-        firsts, white, red_order = self.colors()
-        red = frozenset(red_order)
-        names, succ = _chains(self.labels, self._skeleton[1], firsts)
+        """The DOT text a line at a time, each ending in a newline, holding O(labels): node
+        firsts[k] + p is label(p + 1), white when p is below the label's white count and red
+        when below its red count; the sink comes last, then each chain's steps and covers."""
+        firsts = self._offsets()
+        sink = firsts[-1]
+        styles = ("style=dashed", "style=filled, fillcolor=white",
+                  "style=filled, fillcolor=red", 'style=wedged, fillcolor="red:white"')
         yield "digraph pm {\n"
         yield "  rankdir=LR;\n"
-        for u, (lab, p) in enumerate(names):
-            name = f"{lab}({p})" if p else "inf"  # chain positions start at 1, the sink's is 0
+        for k, (lab, w) in enumerate(zip(self.labels, self._whites)):
+            r = self._reds.get(k, 0)
             # as a DOT quoted string: backslashes and double quotes escaped
-            name = name.replace("\\", "\\\\").replace('"', '\\"')
-            if u in white and u in red:
-                style = 'style=wedged, fillcolor="red:white"'
-            elif u in red:
-                style = "style=filled, fillcolor=red"
-            elif u in white:
-                style = "style=filled, fillcolor=white"
-            else:
-                style = "style=dashed"
-            yield f'  n{u} [label="{name}", {style}];\n'
-        for u, vs in enumerate(succ):
-            for v in vs:
-                yield f"  n{u} -> n{v};\n"
+            name = f"{lab}".replace("\\", "\\\\").replace('"', '\\"')
+            for p in range(firsts[k + 1] - firsts[k]):
+                style = styles[(p < w) + 2 * (p < r)]
+                yield f'  n{firsts[k] + p} [label="{name}({p + 1})", {style}];\n'
+        yield f'  n{sink} [label="inf", style=dashed];\n'
+        for k, heads in enumerate(self._skeleton[1]):
+            last = firsts[k + 1] - 1
+            for u in range(firsts[k], last):
+                yield f"  n{u} -> n{u + 1};\n"
+            for v in [firsts[h] for h in heads] or [sink]:
+                yield f"  n{last} -> n{v};\n"
         yield "}\n"
 
 

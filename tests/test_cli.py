@@ -105,6 +105,15 @@ def test_pm_dot_streams_in_a_child_capped_at_100_mib():
     assert proc.stdout.count(" [label=") == 200_003 and len(proc.stdout) == 16_044_678
 
 
+def test_pm_dot_holds_o_labels_in_a_child_capped_at_32_mib():
+    """The same 200,003 nodes, each line written from the chain offsets and the label
+    counts; the per-node names, successors and colors died with MemoryError here."""
+    proc = run_capped(["-m", "quivercrystal", "epsilon", "--quiver", "A3: 2->1, 2->3",
+                       "--module", '{"1,1,1":100000}', "-i", "2", "--pm-dot"], cap=32 << 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count(" [label=") == 200_003 and len(proc.stdout) == 16_044_678
+
+
 def test_special_a3_all_orientations(capsys):
     code, out, _ = run_cli(capsys, "special", "A3", "--format", "json")
     assert code == 0

@@ -58,6 +58,16 @@ def test_kostant_examples():
         kostant_count(q3, (1, -1, 0))
 
 
+def test_kostant_count_on_a_long_linear_quiver_and_on_e8():
+    """Linear A60 has 1,830 positive roots, one recursion frame each for the old memoised
+    count, which raised RecursionError; the sweep over the roots holds no stack."""
+    a60 = parse_quiver("A60: " + ", ".join(f"{k + 1}->{k}" for k in range(1, 60)))
+    assert kostant_count(a60, (1,) + (0,) * 59) == 1
+    assert kostant_count(a60, (1, 1, 1) + (0,) * 57) == 4  # a1+a2+a3, a1+a23, a12+a3, a123
+    e8 = parse_quiver("E8: 1->2, 2->3, 3->4, 4->5, 5->6, 6->7, 3->8")
+    assert kostant_count(e8, (2,) * 8) == 6625
+
+
 def test_vertex_counts_match_kostant_per_weight():
     for spec in (A2, A3_MIDDLE):
         ar = ar_of(spec)
@@ -268,6 +278,45 @@ def test_compare_rejects_non_special():
         compare_orientations(
             parse_quiver("D4: 2->1, 2->3, 2->4"), parse_quiver("D4: 1->2, 3->2, 4->2"), 2
         )
+
+
+def _retarget(g):
+    """Send one i-edge to a vertex of the same level that another i-edge already reaches:
+    no vertex of a crystal graph has two incoming i-edges."""
+    level = {k: d.level for k, d in g.vertices.items()}
+    for k, (s, i, t) in enumerate(g.edges):
+        other = next((u for _, j, u in g.edges if j == i and u != t and level[u] == level[t]), None)
+        if other is not None:
+            g.edges[k] = (s, i, other)
+            return
+
+
+def _drop(g):
+    del g.edges[-1]
+
+
+def _add_unreached(g):
+    g.vertices[(7,) * len(g.root)] = VertexData(9, (0,) * 3, (0,) * 3, (0,) * 3)
+
+
+@pytest.mark.parametrize("change", [_retarget, _drop, _add_unreached])
+def test_compare_finds_a_changed_second_graph(monkeypatch, change):
+    real = crystal_graph.generate
+    graphs = []
+
+    def generate_and_change_the_second(ar, depth):
+        graphs.append(real(ar, depth))
+        if len(graphs) == 2:
+            edges, size = list(graphs[1].edges), len(graphs[1].vertices)
+            change(graphs[1])
+            assert (graphs[1].edges, len(graphs[1].vertices)) != (edges, size)
+        return graphs[-1]
+
+    q1, q2 = parse_quiver(A3_LINEAR), parse_quiver(A3_MIDDLE)
+    assert compare_orientations(q1, q2, 4)
+    monkeypatch.setattr(crystal_graph, "generate", generate_and_change_the_second)
+    assert not compare_orientations(q1, q2, 4)
+    assert len(graphs) == 2
 
 
 def test_dot_output():

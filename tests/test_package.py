@@ -219,6 +219,39 @@ def test_no_nested_function_refers_to_itself():
     assert self_referring_nested_functions(SRC / "quivercrystal") == []
 
 
+def calls_itself(f: ast.FunctionDef) -> bool:
+    """Whether `f` calls its own name, bare or as a method of `self` or `cls`."""
+    for n in ast.walk(f):
+        if isinstance(n, ast.Call):
+            func = n.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                if func.value.id in ("self", "cls") and func.attr == f.name:
+                    return True
+            elif isinstance(func, ast.Name) and func.id == f.name:
+                return True
+    return False
+
+
+def self_recursive_functions(root: Path) -> list[str]:
+    """'module.name' for each function or method in the package that calls itself."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted(
+        f"{path.stem}.{f.name}"
+        for path in sorted(root.glob("*.py"))
+        for f in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(f, kinds) and calls_itself(f)
+    )
+
+
+def test_only_two_functions_recurse_and_both_are_bounded():
+    """A recursion's depth must have a bound the input cannot push past the stack.
+    `_extend` goes one frame per antichain member, so at most the width, which is under
+    20 within ANTICHAIN_BUDGET; `_fewest_unmatched` goes one frame per red that takes a
+    white, about log2(limit) by the search guard."""
+    assert self_recursive_functions(SRC / "quivercrystal") == [
+        "crystal_ops._extend", "pm_graph._fewest_unmatched"]
+
+
 def referenced_names(node: ast.AST) -> Counter:
     """How often each name appears under `node` as a Name, an Attribute or an import."""
     found: Counter = Counter()

@@ -92,6 +92,26 @@ def test_graph_and_search_guard_match_their_definition(case):
 
 
 @SETTINGS
+@given(counted_poset())
+def test_dot_text_is_the_layout_drawn_in_its_colors(case):
+    g = MultiplicityGraph(*case)
+    names, succ, _ = g.layout()
+    _, white, red_order = g.colors()
+    styles = {
+        (False, False): "style=dashed",
+        (True, False): "style=filled, fillcolor=white",
+        (False, True): "style=filled, fillcolor=red",
+        (True, True): 'style=wedged, fillcolor="red:white"',
+    }
+    lines = ["digraph pm {", "  rankdir=LR;"]
+    for u, (lab, p) in enumerate(names):
+        name = f"{lab}({p})" if p else "inf"
+        lines.append(f'  n{u} [label="{name}", {styles[u in white, u in red_order]}];')
+    lines += [f"  n{u} -> n{v};" for u, vs in enumerate(succ) for v in vs]
+    assert g.to_dot() == "\n".join([*lines, "}", ""])
+
+
+@SETTINGS
 @given(class_and_vertex())
 def test_incremental_scores_equal_direct_sums(case):
     ar, m, _ = case
