@@ -11,7 +11,8 @@ from .ar_quiver import ARQuiver, ModuleClass, _read_canonical, build_ar, module_
 from .crystal_ops import _score_pass, e_tilde, epsilon_i, f_tilde, hom_poset, phi_i, weight_of
 from .dynkin import DimVector, Quiver, cartan_matrix, coroot_pairing, coroot_pairings
 from .dynkin import Weight, parse_quiver, positive_roots
-from .errors import DEFAULT_VERTEX_BUDGET, DomainError, QuiverParseError, ResourceLimitError
+from .errors import DEFAULT_VERTEX_BUDGET, KOSTANT_BUDGET, DomainError, QuiverParseError
+from .errors import ResourceLimitError
 
 __all__ = [
     "CrystalGraph",
@@ -173,7 +174,13 @@ def kostant_count(q: Quiver, beta: DimVector) -> int:
     if any(b < 0 for b in beta):
         raise DomainError(f"{beta} has a negative entry")
     # One sweep over the roots, largest first: ways maps each remainder of beta to the
-    # number of ways the roots swept so far take it off beta.
+    # number of ways the roots swept so far take it off beta.  There are at most
+    # prod(beta_i + 1) remainders, each a dict entry: refused past KOSTANT_BUDGET.
+    size = 1
+    for b in beta:
+        size *= b + 1
+        if size > KOSTANT_BUDGET:
+            raise ResourceLimitError(f"Kostant count of {beta}: prod(beta_i + 1) exceeds {KOSTANT_BUDGET}")
     ways = {tuple(beta): 1}
     for r in sorted(positive_roots(q), key=lambda r: (-sum(r), r)):
         left: dict[DimVector, int] = {}

@@ -33,6 +33,12 @@ def ar_of(spec: str):
     return build_ar(parse_quiver(spec))
 
 
+def alternating(n: int) -> str:
+    """The alternating orientation of A_n, which is special; its middle vertex has the most
+    antichains (461 on A10)."""
+    return f"A{n}: " + ", ".join(f"{a}->{a + 1}" if a % 2 else f"{a + 1}->{a}" for a in range(1, n))
+
+
 A3_LINEAR = "A3: 3->2, 2->1"
 A3_MIDDLE = "A3: 2->1, 2->3"
 A2 = "A2: 2->1"

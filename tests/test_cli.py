@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import run_capped
+from conftest import alternating, run_capped
 from quivercrystal import build_ar, crystal_graph, crystal_ops, parse_quiver
 from quivercrystal.cli import main
 
@@ -60,14 +60,10 @@ def test_special_on_a_large_rank_is_a_resource_limit(name, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"resource limit: {message}\n")
 
 
-def _alternating(n):
-    return f"A{n}: " + ", ".join(f"{a}->{a + 1}" if a % 2 else f"{a + 1}->{a}" for a in range(1, n))
-
-
 @pytest.mark.parametrize("argv, message", [
-    (["epsilon", "--quiver", _alternating(22), "--module", "{}", "-i", "11"],
+    (["epsilon", "--quiver", alternating(22), "--module", "{}", "-i", "11"],
      "vertex 11 has more than 1000000 antichains"),
-    (["epsilon", "--quiver", _alternating(26), "--module", "{}", "-i", "13"],
+    (["epsilon", "--quiver", alternating(26), "--module", "{}", "-i", "13"],
      "vertex 13 has more than 1000000 antichains"),
     (["ar", "--quiver", "A160: " + ", ".join(f"{a}->{a + 1}" for a in range(1, 160))],
      "Hom table of A160: 12880^2 entries exceed 67108864"),
@@ -81,8 +77,8 @@ def test_a_table_past_its_budget_is_a_resource_limit(argv, message):
 def test_antichains_stream_in_a_child_capped_at_40_mib():
     """The 24,309 antichains at the middle vertex of alternating A16 are written as they are
     read off the down-sets, in about 22 MB; the whole JSON document took 55 MB."""
-    argv = ["-m", "quivercrystal", "antichains", "--quiver", _alternating(16), "-i", "9"]
-    ar = build_ar(parse_quiver(_alternating(16)))
+    argv = ["-m", "quivercrystal", "antichains", "--quiver", alternating(16), "-i", "9"]
+    ar = build_ar(parse_quiver(alternating(16)))
     chains = crystal_ops.antichains(crystal_ops.hom_poset(ar, 9))
     proc = run_capped([*argv, "--format", "json"], cap=40 << 20)
     assert (proc.returncode, proc.stderr) == (0, "")

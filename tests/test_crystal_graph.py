@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import re
 
 import pytest
@@ -21,7 +23,7 @@ from quivercrystal import (
 from quivercrystal import crystal_graph, crystal_ops
 from quivercrystal.crystal_graph import VertexData
 from quivercrystal.dynkin import diagram
-from quivercrystal.errors import QuiverParseError, ResourceLimitError
+from quivercrystal.errors import KOSTANT_BUDGET, QuiverParseError, ResourceLimitError
 
 
 def test_depth_zero():
@@ -66,6 +68,23 @@ def test_kostant_count_on_a_long_linear_quiver_and_on_e8():
     assert kostant_count(a60, (1, 1, 1) + (0,) * 57) == 4  # a1+a2+a3, a1+a23, a12+a3, a123
     e8 = parse_quiver("E8: 1->2, 2->3, 3->4, 4->5, 5->6, 6->7, 3->8")
     assert kostant_count(e8, (2,) * 8) == 6625
+
+
+def test_kostant_count_refuses_a_huge_dimension_vector_before_the_sweep():
+    """The sweep keeps a dict entry per remainder of beta, up to prod(beta_i + 1), and
+    E8 (4,)*8 took 137 MB; past KOSTANT_BUDGET the count is refused before it starts.
+    bfs-d4's dimension vectors (D4, sum at most 10) stay far below the budget."""
+    code = ("from quivercrystal import kostant_count, parse_quiver\n"
+            "e8 = parse_quiver('E8: 1->2, 2->3, 3->4, 4->5, 5->6, 6->7, 3->8')\n"
+            "print(kostant_count(e8, (2,) * 8))\n"
+            "kostant_count(e8, (10 ** 6,) * 8)\n")
+    proc = run_capped(["-c", code], cap=256 << 20, timeout=30)
+    assert proc.stdout == "6625\n"
+    assert proc.returncode == 1
+    assert proc.stderr.endswith(f"ResourceLimitError: Kostant count of {(10 ** 6,) * 8}: "
+                                f"prod(beta_i + 1) exceeds {KOSTANT_BUDGET}\n")
+    d4 = max(math.prod(b + 1 for b in d) for d in itertools.product(range(11), repeat=4) if sum(d) <= 10)
+    assert d4 == 144 < KOSTANT_BUDGET // 1000
 
 
 def test_vertex_counts_match_kostant_per_weight():

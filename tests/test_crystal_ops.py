@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import sys
@@ -7,7 +8,7 @@ import weakref
 import pytest
 
 from conftest import (
-    A2, A3_LINEAR, A3_MIDDLE, ar_of, leq_elements, maximum, minimum, projective,
+    A2, A3_LINEAR, A3_MIDDLE, alternating, ar_of, leq_elements, maximum, minimum, projective,
 )
 from oracle import HomOracle
 from quivercrystal import (
@@ -275,20 +276,60 @@ def test_score_trivial_cases():
 
 
 def test_incremental_scores_equal_direct_sums_on_d5_and_e6():
-    """The down-set plan gives every antichain its directly summed score."""
+    """The down-set plan gives every antichain its directly summed score, by both score
+    paths: the compiled kernel (every D5 and E6 table) and the plan loop (the middle
+    vertex of alternating A10, with 461 down-sets)."""
     rng = random.Random(7)
     quivers = [q for d in (diagram("D", 5), diagram("E", 6)) for q in special_orientations(d)]
     assert len(quivers) == 15
-    for q in quivers:
-        ar = build_ar(q)
+    tables = [(build_ar(q), range(1, q.diagram.rank + 1)) for q in quivers]
+    tables.append((ar_of(alternating(10)), [5]))
+    for ar, vertices in tables:
         for _ in range(12):
             m = ModuleClass(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(len(ar))))
-            for i in range(1, ar.rank + 1):
+            for i in vertices:
                 p = hom_poset(ar, i)
                 scores = [antichain_score(ar, m, i, v) for v in antichains(p)]
                 best = max(scores)
                 assert epsilon_i(ar, m, i) == best
                 assert crystal_ops._scores(p, m) == (best, scores)
+                looped = len(p.downsets) > crystal_ops.KERNEL_MAX_DOWNSETS
+                assert looped == (ar.rank == 10)
+                assert looped == isinstance(p.kernel, functools.partial)
+
+
+def test_threads_scoring_a_fresh_table_all_get_the_kernel_results():
+    """The kernel is the one field filled after construction: threads that race to compile
+    it (more threads than most hosts have cores, switching often) each make an equal
+    function, and every pass reads the plan loop's scores."""
+    ar = ar_of("E6: 1->2, 2->3, 3->4, 3->6, 4->5")
+    rng = random.Random(3)
+    m = ModuleClass(tuple(rng.randrange(3) for _ in range(len(ar))))
+    n_threads = 4
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(1, ar.rank + 1):
+            p = HomPoset(ar, i)
+            assert p.kernel is None
+            scores = crystal_ops._walk(p.plan, p.element_ids, p.tau_ids, m.mults)
+            barrier = threading.Barrier(n_threads)
+            results: list = [None] * n_threads
+
+            def work(k: int) -> None:
+                barrier.wait()
+                results[k] = crystal_ops._scores(p, m)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [(max(scores), scores)] * n_threads
+            assert p.kernel.__code__.co_names == ()
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_epsilon_examples():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quivercrystal
-from conftest import A3_MIDDLE, ar_of
+from conftest import A3_MIDDLE, alternating, ar_of
 from quivercrystal import (
     Antichain,
     Diagram,
@@ -23,7 +23,7 @@ from quivercrystal import (
     diagram,
     parse_quiver,
 )
-from quivercrystal import cli, crystal_graph, pm_graph
+from quivercrystal import cli, crystal_graph, crystal_ops, pm_graph
 from quivercrystal.crystal_graph import CheckReport, CrystalGraph, VertexData
 from preorder import AMorphism
 
@@ -250,6 +250,40 @@ def test_only_two_functions_recurse_and_both_are_bounded():
     white, about log2(limit) by the search guard."""
     assert self_recursive_functions(SRC / "quivercrystal") == [
         "crystal_ops._extend", "pm_graph._fewest_unmatched"]
+
+
+def code_generating_calls(root: Path) -> list[str]:
+    """'module.function' (innermost) for each call of the builtin exec, eval or compile."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner: dict = {}
+        for f in ast.walk(tree):  # breadth first, so an inner function overrides its outer one
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(f), f.name))
+        found += [f"{path.stem}.{owner.get(n, '<module>')}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id in ("exec", "eval", "compile")]
+    return sorted(found)
+
+
+def test_only_the_score_kernel_compiler_generates_code():
+    """Generated source stays in one place, where it is written from integers alone."""
+    assert code_generating_calls(SRC / "quivercrystal") == ["crystal_ops._compile"]
+
+
+@pytest.mark.parametrize("spec", [
+    A3_MIDDLE, "D5: 1->2, 2->3, 3->4, 3->5", "E6: 1->2, 2->3, 3->4, 3->6, 4->5",
+    "E7: 2->1, 3->2, 4->3, 3->7, 5->4, 6->5", alternating(8),
+])
+def test_each_compiled_kernel_reads_no_name_and_only_integer_constants(spec):
+    """No label, spec or other string can reach a kernel: it names nothing global and
+    its constants are the subscripts it reads."""
+    ar = ar_of(spec)
+    for i in range(1, ar.rank + 1):
+        code = crystal_ops._compile(crystal_ops.hom_poset(ar, i)).__code__
+        assert code.co_names == ()
+        assert {type(c) for c in code.co_consts} <= {int, type(None)}, spec
 
 
 def referenced_names(node: ast.AST) -> Counter:
