@@ -218,7 +218,7 @@ def _scores(p: HomPoset, m: ModuleClass) -> tuple[int, list[int]]:
     return best, scores
 
 
-# A compiled pass runs 2-4x faster than the plan loop, but compiling costs about 0.1 ms
+# A compiled pass runs 3-10x faster than the plan loop, but compiling costs about 0.1 ms
 # plus 17 us per down-set (Python 3.11, 2 vCPUs), the price of 200-500 passes.  Up to 256
 # down-sets a first pass pays at most about 4.5 ms; the bound holds every table of the
 # special D<=8, E6, E7 and A<=9 quivers (at most 251), while the middle table of an
