@@ -13,12 +13,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ar_quiver": "ARQuiver Indec ModuleClass build_ar module_from_dim_dict module_from_json"
     " module_to_json special_orientations tau_inv_class thick_vertices zero_module",
-    "crystal_graph": "CrystalGraph check_axioms compare_orientations generate graph_from_json"
-    " kostant_count",
-    "crystal_ops": "Antichain HomPoset antichain_leq antichain_score antichains e_tilde"
-    " epsilon_i exchange_set f_tilde hom_poset phi_i weight_of",
+    "crystal_graph": "CrystalGraph check_axioms generate graph_from_json kostant_count",
+    "crystal_ops": "Antichain HomPoset antichains e_tilde epsilon_i f_tilde hom_poset phi_i"
+    " weight_of",
     "dynkin": "Diagram Quiver all_orientations cartan_matrix coroot_pairing diagram"
-    " parse_quiver positive_roots ringel_form symmetrized_form",
+    " parse_quiver positive_roots",
     "errors": "DomainError InvariantViolation QuiverCrystalError QuiverParseError"
     " ResourceLimitError",
     "pm_graph": "MultiplicityGraph build_pm min_epsilon",

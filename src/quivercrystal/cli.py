@@ -183,6 +183,10 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_epsilon(args) -> int:
+    if args.pm_dot and (args.format == "json" or args.oracle):
+        print("usage error: --pm-dot writes DOT alone, without --format json or --oracle",
+              file=sys.stderr)
+        return 2
     ar = build_ar(parse_quiver(args.quiver))
     m = _load_module(ar, args.module)
     from . import crystal_ops
@@ -250,8 +254,6 @@ def _cmd_check(args) -> int:
     axioms = {"ok": report.ok, "checked_edges": report.checked_edges,
               "first_violation": report.first_violation}
     doc: dict = {"axioms": axioms}
-    if args.format == "text":
-        print(f"axioms: {report}")
     failures = 0 if report.ok else 1
     if args.samples:
         from . import crystal_ops, pm_graph
@@ -269,11 +271,14 @@ def _cmd_check(args) -> int:
                 if back is None or back.mults != m.mults:
                     bad += 1
         doc["samples"] = {"count": args.samples, "violations": bad, "seed": args.seed}
-        if args.format == "text":
-            print(f"samples: {args.samples} random classes, {bad} violations (seed {args.seed})")
         failures += bad
+    # Written once every stage has run, so a refusal leaves nothing on stdout.
     if args.format == "json":
         print(_dump(doc))
+    else:
+        print(f"axioms: {report}")
+        if args.samples:
+            print(f"samples: {args.samples} random classes, {bad} violations (seed {args.seed})")
     return 0 if failures == 0 else 1
 
 

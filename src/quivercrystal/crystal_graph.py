@@ -19,7 +19,6 @@ __all__ = [
     "generate",
     "kostant_count",
     "check_axioms",
-    "compare_orientations",
     "graph_from_json",
 ]
 
@@ -58,10 +57,6 @@ class CrystalGraph(_Record):
                  edges: list[tuple[Key, int, Key]], levels: list[list[Key]] | None = None):
         self.ar, self.depth, self.vertices, self.edges = ar, depth, vertices, edges
         self.levels = [] if levels is None else levels
-
-    @property
-    def root(self) -> Key:
-        return self.levels[0][0]
 
     def to_json(self) -> str:
         """json.dumps, no spaces, of dicts built in sorted key order; edges and vertices sorted."""
@@ -268,35 +263,6 @@ def check_axioms(g: CrystalGraph) -> CheckReport:
         if data.level and key not in reached:  # level 0 holds only the zero class
             return CheckReport(False, len(g.edges), f"no edge reaches {key}")
     return CheckReport(True, len(g.edges))
-
-
-def compare_orientations(q1: Quiver, q2: Quiver, depth: int) -> bool:
-    """Whether the bounded graphs agree once each is numbered by a breadth-first walk."""
-    if q1.diagram != q2.diagram:
-        raise DomainError("orientations of different diagrams cannot be compared")
-    ar1, ar2 = build_ar(q1), build_ar(q2)
-    if not (ar1.is_special() and ar2.is_special()):
-        raise DomainError("both orientations must be special")
-    rank = q1.diagram.rank
-    edges1 = _numbered_edges(generate(ar1, depth), rank)
-    return edges1 is not None and edges1 == _numbered_edges(generate(ar2, depth), rank)
-
-
-def _numbered_edges(g: CrystalGraph, rank: int) -> list[tuple[int, int, int]] | None:
-    """The sorted edges, each vertex numbered in the order a breadth-first walk from the root
-    reaches it, taking labels 1..rank in turn; None when the walk misses a vertex."""
-    out = {(s, i): t for s, i, t in g.edges}
-    order = [g.root]
-    number = {g.root: 0}
-    for u in order:  # the list grows as the walk reaches new vertices
-        for i in range(1, rank + 1):
-            t = out.get((u, i))
-            if t is not None and t not in number:
-                number[t] = len(order)
-                order.append(t)
-    if len(number) != len(g.vertices):
-        return None
-    return sorted([(number[s], i, number[t]) for s, i, t in g.edges])
 
 
 def graph_from_json(text: str) -> CrystalGraph:

@@ -24,7 +24,7 @@ from threading import Lock
 from typing import Callable, Iterator, NamedTuple
 from weakref import WeakKeyDictionary
 
-from .ar_quiver import ARQuiver, Indec, ModuleClass
+from .ar_quiver import ARQuiver, ModuleClass
 from .dynkin import Weight, coroot_pairing
 from .errors import ANTICHAIN_BUDGET, DomainError, InvariantViolation, ResourceLimitError
 
@@ -33,10 +33,7 @@ __all__ = [
     "Antichain",
     "hom_poset",
     "antichains",
-    "antichain_leq",
-    "antichain_score",
     "epsilon_i",
-    "exchange_set",
     "f_tilde",
     "e_tilde",
     "weight_of",
@@ -113,13 +110,6 @@ class HomPoset:
     def __len__(self) -> int:
         return len(self.element_ids)
 
-    def pos(self, x: Indec | int) -> int:
-        xid = x.id if isinstance(x, Indec) else x
-        try:
-            return self._pos[xid]
-        except KeyError:
-            raise DomainError(f"{x} is not an element of this poset") from None
-
 
 def _extend(p: HomPoset, downs: list[int], free: int, down: int) -> None:
     """Append, depth first, the down-set mask of each antichain that adds positions of
@@ -186,17 +176,12 @@ def _antichain_ids(p: HomPoset) -> Iterator[tuple[int, ...]]:
         yield tuple([ids[b] for b in _maximal(p, d)])
 
 
-def antichain_leq(p: HomPoset, v: Antichain, w: Antichain) -> bool:
-    """v <= w iff every member of v has a nonzero map to some member of w."""
-    down = reduce(or_, [p.below[p.pos(c)] for c in w.members])
-    return all(down >> p.pos(b) & 1 for b in v.members)
-
-
 def _contributions(ids: tuple[int, ...], taus: tuple[int | None, ...], mults) -> list[int]:
     """mu_B(M) - mu_{tau B}(M) for each poset element B, by position."""
     return [mults[x] - (mults[t] if t is not None else 0) for x, t in zip(ids, taus)]
 
 
+# Not exported and called by no pass: perfbench/tracing.py patches it by name.
 def antichain_score(ar: ARQuiver, m: ModuleClass, i: int, v: Antichain) -> int:
     """Net multiplicity below v: sum of mu_B(M) - mu_{tau B}(M) over B <= v."""
     p = hom_poset(ar, i)
@@ -256,11 +241,6 @@ def _walk(plan, ids, taus, mults) -> list[int]:
 def epsilon_i(ar: ARQuiver, m: ModuleClass, i: int) -> int:
     """The string statistic: the maximal antichain score, never negative."""
     return _scores(hom_poset(ar, i), m)[0]
-
-
-def exchange_set(p: HomPoset, v: Antichain) -> tuple[Indec, ...]:
-    """Minimal elements among those not below v; their tau translates get swapped."""
-    return tuple([p.elements[b] for b in _exchange(p, _downset(p, v))])
 
 
 def f_tilde(ar: ARQuiver, m: ModuleClass, i: int) -> ModuleClass:

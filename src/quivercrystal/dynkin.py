@@ -1,4 +1,4 @@
-"""Simply-laced Dynkin diagrams, quiver orientations, roots and bilinear forms.
+"""Simply-laced Dynkin diagrams, quiver orientations, roots and coroot pairings.
 
 Vertex labelling is fixed once and for all so that every example in the
 package is reproducible:
@@ -181,33 +181,6 @@ def cartan_matrix(q: Quiver | Diagram) -> tuple[tuple[int, ...], ...]:
         rows[a - 1][b - 1] = -1
         rows[b - 1][a - 1] = -1
     return tuple(tuple(r) for r in rows)
-
-
-def _check_rank(q: Quiver | Diagram, *vectors: tuple[int, ...]) -> None:
-    rank = _diagram_of(q).rank
-    for v in vectors:
-        if len(v) != rank:
-            raise DomainError(f"vector {v} does not match rank {rank}")
-
-
-def ringel_form(q: Quiver, d: DimVector, e: DimVector) -> int:
-    """Euler form of the orientation: sum_i d_i e_i - sum_{a->b} d_a e_b.
-
-    For modules with these dimension vectors this equals
-    dim Hom - dim Ext^1.
-    """
-    _check_rank(q, d, e)
-    total = sum(x * y for x, y in zip(d, e))
-    for a, b in q.arrows:
-        total -= d[a - 1] * e[b - 1]
-    return total
-
-
-def symmetrized_form(q: Quiver | Diagram, d: DimVector, e: DimVector) -> int:
-    """d . Cartan . e, the symmetrization of the Euler form."""
-    _check_rank(q, d, e)
-    cartan = cartan_matrix(q)
-    return sum(d[i] * cartan[i][j] * e[j] for i in range(len(d)) for j in range(len(e)))
 
 
 _ROOT_COUNT = {"A": lambda n: n * (n + 1) // 2, "D": lambda n: n * (n - 1), "E": {6: 36, 7: 63, 8: 120}.get}

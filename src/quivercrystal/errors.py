@@ -26,7 +26,8 @@ class DomainError(QuiverCrystalError):
 
 
 class ResourceLimitError(QuiverCrystalError):
-    """A configurable search bound was exceeded."""
+    """A resource bound was exceeded: a search limit or vertex budget, which callers
+    may set, or one of the fixed table budgets above."""
 
 
 class InvariantViolation(QuiverCrystalError):

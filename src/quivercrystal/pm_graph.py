@@ -22,8 +22,7 @@ is O(labels).  `colors()` derives the chain offsets, white set and red
 order, `layout()` the node names, successors and reach sets (in its own
 sweep from the sink down); neither caches, so each reader calls one once.
 `dot_lines` makes the DOT text a line at a time from the offsets and the
-counts alone, so it holds O(labels) however long the chains; `to_dot`
-joins it.  `sink`, `white`, `red`, `red_order` and `reach` alias their
+counts alone, so it holds O(labels) however long the chains.  `sink`, `white`, `red`, `red_order` and `reach` alias their
 parts because the benchmark tracer reads them.  The search guard decides
 from the counts, and only a graph that passes it gets its white targets.
 The search sends each red to the sink within one frame and recurses only
@@ -122,11 +121,6 @@ class MultiplicityGraph:
     red = property(lambda self: frozenset(self.colors()[2]))
     red_order = property(lambda self: self.colors()[2])
     reach = property(lambda self: self.layout()[2])
-
-    nodes = property(lambda self: tuple(range(self.sink + 1)))
-
-    def to_dot(self) -> str:
-        return "".join(self.dot_lines())
 
     def dot_lines(self) -> Iterator[str]:
         """The DOT text a line at a time, each ending in a newline, holding O(labels): node

@@ -71,8 +71,13 @@ def hom_to_simple(ar, m, i):
     return sum(k * ar.hom_dim(b, ar.simple(i)) for b, k in zip(ar.indecs, m.mults) if k)
 
 
+def pos(p, x) -> int:
+    """The position in the vertex poset p of an element, given as an Indec or its id."""
+    return p.element_ids.index(x if isinstance(x, int) else x.id)
+
+
 def leq_elements(p, a, b):
-    return bool(p.above[p.pos(a)] >> p.pos(b) & 1)
+    return bool(p.above[pos(p, a)] >> pos(p, b) & 1)
 
 
 def minimum(p):

@@ -10,13 +10,12 @@ import random
 import time
 
 from conftest import maximum, minimum, projective
+from reference import antichain_leq, compare_orientations
 from quivercrystal import (
     ModuleClass,
-    antichain_leq,
     antichains,
     build_ar,
     build_pm,
-    compare_orientations,
     diagram,
     e_tilde,
     epsilon_i,

@@ -8,6 +8,7 @@ from conftest import (
     A2, A3_LINEAR, A3_MIDDLE, ar_of, ext_dim, hom_to_simple, injective, projective, tau_inv,
 )
 from oracle import HomOracle
+from reference import ringel_form
 from quivercrystal import ar_quiver
 from quivercrystal import (
     DomainError,
@@ -21,7 +22,6 @@ from quivercrystal import (
     module_to_json,
     parse_quiver,
     positive_roots,
-    ringel_form,
     special_orientations,
     tau_inv_class,
     thick_vertices,

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import alternating, run_capped
-from quivercrystal import build_ar, crystal_graph, crystal_ops, parse_quiver
+from quivercrystal import build_ar, cli, crystal_graph, crystal_ops, parse_quiver
 from quivercrystal.cli import main
 
 
@@ -327,6 +327,16 @@ def test_epsilon_pm_dot_refuses_more_nodes_than_the_limit(capsys):
     assert code == 0 and run_cli(capsys, *base, *worked) == (0, out, "")
 
 
+@pytest.mark.parametrize("extra", [["--format", "json"], ["--oracle", "geom"]], ids=["json", "geom"])
+def test_epsilon_pm_dot_with_json_or_an_oracle_is_a_usage_error(capsys, monkeypatch, extra):
+    """DOT text is neither a JSON document nor an oracle report: refused with one line,
+    before the AR quiver is built."""
+    monkeypatch.setattr(cli, "build_ar", None)
+    argv = ["epsilon", "--quiver", "A3: 2->1, 2->3", "--module", "{}", "-i", "2", "--pm-dot"]
+    assert run_cli(capsys, *argv, *extra) == (
+        2, "", "usage error: --pm-dot writes DOT alone, without --format json or --oracle\n")
+
+
 def test_ar_outputs(capsys):
     code, out, _ = run_cli(capsys, "ar", "--quiver", "A2: 2->1")
     assert code == 0
@@ -403,6 +413,14 @@ def test_check_json_reports_both_outcomes(capsys, monkeypatch):
         "axioms: FAIL: phi_1 identity fails at (0, 0, 0, 0, 0, 0)\n"
         "samples: 5 random classes, 15 violations (seed 42)\n"
     )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_refused_by_its_samples_prints_no_partial_report(capsys, fmt):
+    """The axioms pass, then the samples' morphism search is refused: stdout stays empty."""
+    argv = ["check", "--quiver", "A3: 2->1, 2->3", "--samples", "3", "--limit", "0"]
+    assert run_cli(capsys, *argv, "--format", fmt) == (
+        3, "", "resource limit: morphism search space exceeds 0 candidates\n")
 
 
 def test_check_deterministic_given_seed(capsys):

