@@ -75,7 +75,6 @@ class HomPoset:
         hom = ar.hom_rows
         ids = self.element_ids = tuple(compress(range(len(hom)), map(itemgetter(ar.simple(i).id), hom)))
         self.elements = tuple(map(ar.indecs.__getitem__, ids))
-        self._pos = {xid: k for k, xid in enumerate(ids)}
         n = len(ids)
         rows = [tuple(map(hom[a].__getitem__, ids)) for a in ids]
         bits = [1 << a for a in range(n)]
@@ -136,7 +135,7 @@ def _exchange(p: HomPoset, down: int) -> list[int]:
 
 def _downset(p: HomPoset, v: Antichain) -> int:
     """The down-set mask of v, in any member order; DomainError unless v is an antichain of p."""
-    pos = sorted([p._pos.get(x, -1) for x in v.members])
+    pos = sorted([p.element_ids.index(x) if x in p.element_ids else -1 for x in v.members])
     down = reduce(or_, [p.below[b] for b in pos if b >= 0], 0)
     if _maximal(p, down) != pos:
         raise DomainError(f"{v} is not an antichain of this poset")

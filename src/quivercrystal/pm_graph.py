@@ -19,14 +19,18 @@ B and mu_{tau B}(M) for every non-projective one, each in one C call.  A
 graph stores that skeleton, its labels, the white count of each label and
 the red count of each label that has reds: nothing per node, so `build_pm`
 is O(labels).  `colors()` derives the chain offsets, white set and red
-order, `layout()` the node names, successors and reach sets (in its own
-sweep from the sink down); neither caches, so each reader calls one once.
-`dot_lines` makes the DOT text a line at a time from the offsets and the
-counts alone, so it holds O(labels) however long the chains.  `sink`, `white`, `red`, `red_order` and `reach` alias their
-parts because the benchmark tracer reads them.  The search guard decides
-from the counts, and only a graph that passes it gets its white targets.
-The search sends each red to the sink within one frame and recurses only
-for those that take a white, so the recursion is about log2(limit) deep.
+order, and `reach` the nodes each node reaches, both read off the counts;
+neither caches, so each reader calls one once.  `dot_lines` makes the DOT
+text a line at a time from the offsets and the counts alone, so it holds
+O(labels) however long the chains.  `sink`, `white`, `red` and `red_order`
+alias parts of `colors()`, and `reach` is kept, because the benchmark
+tracer reads them.  The node-by-node sweep that builds node names,
+successors and reach sets is reference code in the test suite
+(`layout` in tests/preorder.py), and `reach` is checked against it.  The
+search guard decides from the counts, and only a graph that passes it gets
+its white targets.  The search sends each red to the sink within one frame
+and recurses only for those that take a white, so the recursion is about
+log2(limit) deep.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from weakref import WeakKeyDictionary
 # tau_inv_class goes unused here: perfbench/tracing.py patches it.
 from .ar_quiver import ARQuiver, ModuleClass, tau_inv_class
 from .crystal_ops import HomPoset
-from .errors import DEFAULT_SEARCH_LIMIT, DomainError, InvariantViolation, ResourceLimitError
+from .errors import DEFAULT_SEARCH_LIMIT, DomainError, ResourceLimitError
 
 __all__ = ["MultiplicityGraph", "build_pm", "min_epsilon"]
 
@@ -52,7 +56,7 @@ class MultiplicityGraph:
     of the covers.  Each label's counts (ints >= 0, 0 if absent) give it a chain
     max(1, white, red) long.  Stored: `labels`, the poset skeleton, `_whites` (a
     count per label) and `_reds` (position -> count, for labels with reds); the
-    rest is derived per call.  Nothing is written to the graph after construction.
+    rest, reach sets too, is derived per call.  Nothing is written after construction.
     """
 
     def __init__(self, labels: tuple, covers, white_counts: dict, red_counts: dict):
@@ -92,35 +96,23 @@ class MultiplicityGraph:
         reds = (range(firsts[k], firsts[k] + c) for k, c in self._reds.items())
         return firsts, frozenset(chain.from_iterable(white)), tuple(chain.from_iterable(reds))
 
-    def layout(self) -> tuple[list, tuple, tuple]:
-        """(names, succ, reach) from the offsets in one O(nodes) sweep, never cached.
-
-        names[u] is (label, position in its chain), ("inf", 0) at the sink; succ[u]
-        the sorted successors of u; reach[u] the nodes u reaches, u included.
-        """
-        firsts = self._offsets()
-        names, succ = _chains(self.labels, self._skeleton[1], firsts)
-        # Every successor comes after its node, so one sweep from the sink down
-        # gives each node's reach from its successors' reach.
-        sink = firsts[-1]
-        reach: list = [None] * (sink + 1)
-        reach[sink] = frozenset((sink,))
-        for u in range(sink - 1, -1, -1):
-            vs = succ[u]
-            r = reach[vs[0]]  # a copy plus one node is cheaper than a union from scratch
-            if len(vs) > 1:
-                r = r.union(*[reach[v] for v in vs[1:]])
-            reach[u] = r | {u}
-        if any(sink not in r for r in reach):
-            raise InvariantViolation("sink not reachable from every node")
-        return names, succ, tuple(reach)
-
     # Aliases that derive afresh on each read, kept because perfbench/tracing.py reads them.
     sink = property(lambda self: self._offsets()[-1])
     white = property(lambda self: self.colors()[1])
     red = property(lambda self: frozenset(self.colors()[2]))
     red_order = property(lambda self: self.colors()[2])
-    reach = property(lambda self: self.layout()[2])
+
+    @property
+    def reach(self) -> tuple:
+        """reach[u], the nodes u reaches (u included), read off the counts, never cached:
+        node firsts[k] + p reaches the rest of its chain, every chain of a label above
+        label k (the up-closure, not just the covers) and the sink."""
+        firsts = self._offsets()
+        reach = []
+        for k, ups in enumerate(self._skeleton[2]):
+            above = frozenset(chain((firsts[-1],), *[range(firsts[j], firsts[j + 1]) for j in ups]))
+            reach += [above.union(range(u, firsts[k + 1])) for u in range(firsts[k], firsts[k + 1])]
+        return (*reach, frozenset(firsts[-1:]))
 
     def dot_lines(self) -> Iterator[str]:
         """The DOT text a line at a time, each ending in a newline, holding O(labels): node
@@ -171,23 +163,6 @@ def _skeleton(labels: tuple, covers) -> tuple:
     for k in range(len(labels) - 1, -1, -1):  # heads come later, so theirs are filled
         ups[k] = tuple(sorted(set(heads_t[k]).union(*[ups[h] for h in heads_t[k]])))
     return labels, heads_t, tuple(ups), tuple(range(len(labels) + 1))
-
-
-def _chains(labels: tuple, heads: tuple, firsts) -> tuple[list, tuple]:
-    """Node names and sorted successors of the chain-expanded graph, in O(nodes).
-
-    Label k's chain runs from node firsts[k] to firsts[k + 1] - 1; the last
-    entry of `firsts` is the sink.  Each chain node points to the next one, and
-    a chain's last node to the first nodes of the chains over it (or the sink).
-    """
-    sink = firsts[-1]
-    names = [(lab, p) for lab, a, b in zip(labels, firsts, firsts[1:]) for p in range(1, b - a + 1)]
-    names.append(("inf", 0))
-    succ = [(v,) for v in range(1, sink + 1)]
-    for end, hs in zip(firsts[1:], heads):
-        succ[end - 1] = tuple([firsts[h] for h in hs]) or (sink,)
-    succ.append(())
-    return names, tuple(succ)
 
 
 # Per poset: its skeleton, and the pickers of mu_B(M) for every label B and of

@@ -8,7 +8,10 @@ library's `min_epsilon` prunes the same search; this module enumerates it
 all, so the suite can check the min-max identity, the closure antichain
 against the raising operator, and the acceptance criteria by brute force.
 `enumerate_morphisms` refuses through the library's search guard, so the
-tests check the guard through it.
+tests check the guard through it.  `layout` builds the node names,
+successors and reach sets node by node, in one sweep from the sink down; the
+library reads its `reach` off the label counts instead, and the tests check
+that closed form against this sweep.
 """
 
 from __future__ import annotations
@@ -19,6 +22,47 @@ from typing import Iterator, NamedTuple
 from quivercrystal.crystal_ops import Antichain
 from quivercrystal.errors import DEFAULT_SEARCH_LIMIT, DomainError, InvariantViolation
 from quivercrystal.pm_graph import MultiplicityGraph, _guard_search_space, _white_targets
+
+
+def layout(g: MultiplicityGraph) -> tuple[list, tuple, tuple]:
+    """(names, succ, reach) from the offsets in one O(nodes) sweep, never cached.
+
+    names[u] is (label, position in its chain), ("inf", 0) at the sink; succ[u]
+    the sorted successors of u; reach[u] the nodes u reaches, u included.
+    """
+    firsts = g._offsets()
+    names, succ = _chains(g.labels, g._skeleton[1], firsts)
+    # Every successor comes after its node, so one sweep from the sink down
+    # gives each node's reach from its successors' reach.
+    sink = firsts[-1]
+    reach: list = [None] * (sink + 1)
+    reach[sink] = frozenset((sink,))
+    for u in range(sink - 1, -1, -1):
+        vs = succ[u]
+        r = reach[vs[0]]  # a copy plus one node is cheaper than a union from scratch
+        if len(vs) > 1:
+            r = r.union(*[reach[v] for v in vs[1:]])
+        reach[u] = r | {u}
+    if any(sink not in r for r in reach):
+        raise InvariantViolation("sink not reachable from every node")
+    return names, succ, tuple(reach)
+
+
+def _chains(labels: tuple, heads: tuple, firsts) -> tuple[list, tuple]:
+    """Node names and sorted successors of the chain-expanded graph, in O(nodes).
+
+    Label k's chain runs from node firsts[k] to firsts[k + 1] - 1; the last
+    entry of `firsts` is the sink.  Each chain node points to the next one, and
+    a chain's last node to the first nodes of the chains over it (or the sink).
+    """
+    sink = firsts[-1]
+    names = [(lab, p) for lab, a, b in zip(labels, firsts, firsts[1:]) for p in range(1, b - a + 1)]
+    names.append(("inf", 0))
+    succ = [(v,) for v in range(1, sink + 1)]
+    for end, hs in zip(firsts[1:], heads):
+        succ[end - 1] = tuple([firsts[h] for h in hs]) or (sink,)
+    succ.append(())
+    return names, tuple(succ)
 
 
 class AMorphism(NamedTuple):
@@ -77,7 +121,7 @@ def F_of_subset(g: MultiplicityGraph, nodes) -> int:
 
 def down_closure(g: MultiplicityGraph, nodes) -> frozenset[int]:
     """Everything at or below some node of the subset."""
-    return _down(g.layout()[2], frozenset(nodes))
+    return _down(layout(g)[2], frozenset(nodes))
 
 
 def _down(reach: tuple, s: frozenset[int]) -> frozenset[int]:
@@ -88,7 +132,7 @@ def closure_H(g: MultiplicityGraph, phi: AMorphism, nodes) -> frozenset[int]:
     """Least fixed point of V -> (phi(red below V) union V) downward-closed."""
     mapping = phi.mapping(g)
     red = g.red
-    reach = g.layout()[2]
+    reach = layout(g)[2]
     cur = frozenset(nodes)
     while True:
         moved = {mapping[r] for r in red & _down(reach, cur)}
@@ -131,7 +175,7 @@ def _covers(targets: list, taken: list, idx: int, need: int) -> bool:
 
 def is_preceq(g: MultiplicityGraph, phi: AMorphism, psi: AMorphism) -> bool:
     """phi precedes psi when psi's image is phi's image pushed along paths."""
-    return _image_pushes(g.layout()[2], g.sink, phi.image(g), psi.image(g))
+    return _image_pushes(layout(g)[2], g.sink, phi.image(g), psi.image(g))
 
 
 def preceq_minimal_morphisms(g: MultiplicityGraph) -> tuple[AMorphism, ...]:
@@ -142,7 +186,7 @@ def preceq_minimal_morphisms(g: MultiplicityGraph) -> tuple[AMorphism, ...]:
     """
     morphs = tuple(enumerate_morphisms(g))
     images = list(dict.fromkeys(phi.image(g) for phi in morphs))
-    reach, sink = g.layout()[2], g.sink
+    reach, sink = layout(g)[2], g.sink
     minimal = {
         img
         for img in images
@@ -181,7 +225,7 @@ def closure_antichain(g: MultiplicityGraph) -> Antichain:
     closed = closure_H(g, phi, unmatched)
     if firsts[-1] in closed:
         raise InvariantViolation("closure of a minimal morphism contains the sink")
-    reach = g.layout()[2]
+    reach = layout(g)[2]
     maximal = [u for u in closed if reach[u] & closed == {u}]
     return Antichain(tuple(sorted({node_label(g, u) for u in maximal})))
 

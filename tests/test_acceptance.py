@@ -39,6 +39,7 @@ from preorder import (
     closure_antichain,
     enumerate_morphisms,
     eps_of,
+    layout,
     node_label,
     preceq_minimal_morphisms,
 )
@@ -240,7 +241,7 @@ def test_criterion_6_minimal_morphism_antichains():
             g = build_pm(ar, hom_poset(ar, i), m)
             minimal = preceq_minimal_morphisms(g)
             assert minimal
-            names, _, reach = g.layout()
+            names, _, reach = layout(g)
             carried = set()
             for phi in minimal:
                 closed = closure_H(g, phi, g.white - phi.image(g))
@@ -293,7 +294,7 @@ def test_criterion_7_worked_instance():
         == '{"0,0,1":1,"0,1,0":1,"0,1,1":1,"1,0,0":2,"1,1,1":1}'
     )
     g = build_pm(ar, hom_poset(ar, 2), m)
-    names = g.layout()[0]
+    names = layout(g)[0]
     assert [sum(lab == l for lab, _ in names) for l in g.labels] == [2, 1, 1, 2]
     assert [ar.indecs[l].dim for l in g.labels] == [
         (1, 1, 1),

@@ -364,6 +364,12 @@ def test_poset_lookups_take_antichains_as_sets():
     foreign = ar.by_dim[(1, 0, 0)]
     with pytest.raises(DomainError):
         antichain_score(ar, worked_class(ar), 2, Antichain((foreign.id,)))
+    # Foreign ids below the first element, between two and past the last.
+    ar = ar_of(alternating(3))
+    assert hom_poset(ar, 3).element_ids == (1, 3, 4) and len(ar) == 6
+    for foreign_id in (0, 2, 5):
+        with pytest.raises(DomainError):
+            antichain_score(ar, zero_module(ar), 3, Antichain((foreign_id,)))
 
 
 def test_f_tilde_examples():

@@ -37,6 +37,7 @@ from preorder import (
     eps_of,
     is_preceq,
     is_preceq_minimal,
+    layout,
     node_label,
     preceq_minimal_morphisms,
 )
@@ -60,13 +61,14 @@ def five_chain_graph():
 
 
 def node(g, label, pos):
-    return g.layout()[0].index((label, pos))
+    return layout(g)[0].index((label, pos))
 
 
 def derived(g):
-    """The layout, with the first and last node of each label's chain read off its names,
-    and the white targets keyed by red."""
-    names, succ, reach = g.layout()
+    """The names and successors of the layout, the library's reach sets, the first and
+    last node of each label's chain read off the names, and the white targets keyed by red."""
+    names, succ, _ = layout(g)
+    reach = g.reach
     first = {lab: names.index((lab, 1)) for lab in g.labels}
     last = {lab: u for u, (lab, _) in enumerate(names[:-1])}
     targets = dict(zip(g.red_order, _white_targets(g)))
@@ -76,7 +78,7 @@ def derived(g):
 
 def test_worked_chain_lengths():
     ar, m, g = worked_graph()
-    names = g.layout()[0]
+    names = layout(g)[0]
     assert [sum(lab == l for lab, _ in names) for l in g.labels] == [2, 1, 1, 2]
     dims = [str(ar.indecs[l]) for l in g.labels]
     assert dims == ["(1,1,1)", "(0,1,1)", "(1,1,0)", "(0,1,0)"]
@@ -310,7 +312,7 @@ def test_closure_antichain_same_for_all_minimal_morphisms():
     g = five_chain_graph()
     minimal = preceq_minimal_morphisms(g)
     assert minimal
-    reach = g.layout()[2]
+    reach = layout(g)[2]
     results = set()
     for phi in minimal:
         closed = closure_H(g, phi, g.white - phi.image(g))
@@ -410,7 +412,7 @@ def test_resource_guard():
 def test_graph_is_not_written_after_construction():
     ar, m, g = worked_graph()
     before = copy.deepcopy(vars(g))
-    laid_out = g.layout()
+    laid_out = layout(g)
     g.reach, "".join(g.dot_lines())
     [node_label(g, u) for u in range(g.sink + 1)]
     morphs = list(enumerate_morphisms(g))
@@ -421,12 +423,15 @@ def test_graph_is_not_written_after_construction():
     closure_H(g, minimal[0], g.white - minimal[0].image(g))
     closure_antichain(g)
     assert vars(g) == before
-    assert g.layout() == laid_out
+    assert layout(g) == laid_out
 
 
 def test_reach_is_the_third_part_of_the_layout():
+    """The closed form against the test suite's sweep, on fixed graphs, then on the
+    property suite's random ones (which need hypothesis)."""
     for g in (worked_graph()[2], five_chain_graph(), MultiplicityGraph((), (), {}, {})):
-        assert g.reach == g.layout()[2]
+        assert g.reach == layout(g)[2]
+    pytest.importorskip("test_properties").reach_is_the_third_part_of_the_layout()
 
 
 def test_labels_must_extend_covers():
@@ -484,8 +489,8 @@ def _by_definition(labels, covers, whites, reds):
 
 
 # What a graph stores: its counts and skeleton.  The sink and colors come from colors(),
-# names, succ and reach from layout(), first and last from the names, targets from
-# _white_targets.
+# reach from the `reach` property, names and succ from the tests' layout(), first and
+# last from the names, targets from _white_targets.
 STORED = {"labels", "_skeleton", "_whites", "_reds"}
 
 
@@ -582,7 +587,7 @@ def test_build_pm_equals_the_graph_built_from_dicts(kind, rank):
                 {x: tm.mults[x] for x in labels},
             )
             assert vars(g) == vars(h), (m.mults, i)
-            assert g.layout() == h.layout(), (m.mults, i)
+            assert layout(g) == layout(h), (m.mults, i)
             if g.sink == len(labels):
                 seen_unit += 1
             else:
@@ -679,7 +684,7 @@ def test_bad_input_raises_on_every_call():
 
 def test_empty_graph_is_one_sink():
     g = MultiplicityGraph((), (), {}, {})
-    _, succ, reach = g.layout()
+    _, succ, reach = layout(g)
     assert g.sink == 0 and succ == ((),) and reach == (frozenset({0}),)
     d = derived(g)
     assert g.labels == () and d["first"] == d["last"] == {} and node_label(g, 0) == "inf"
@@ -705,7 +710,7 @@ def test_graphs_of_one_poset_share_no_mutable_attribute():
         before = copy.deepcopy(vars(g1))
         g2 = build_pm(ar, p, m2)
         assert vars(g1) == before
-        for part, other in zip(g1.layout(), g2.layout()):
+        for part, other in zip(layout(g1), layout(g2)):
             assert part is not other
 
 

@@ -39,7 +39,7 @@ from quivercrystal import cli, crystal_ops
 from quivercrystal.crystal_ops import antichain_score
 from quivercrystal.ar_quiver import _read_canonical
 from quivercrystal.dynkin import diagram
-from preorder import enumerate_morphisms, eps_of
+from preorder import enumerate_morphisms, eps_of, layout
 from test_pm_graph import _assert_matches_definition
 
 POOL = tuple(
@@ -93,9 +93,18 @@ def test_graph_and_search_guard_match_their_definition(case):
 
 @SETTINGS
 @given(counted_poset())
+def reach_is_the_third_part_of_the_layout(case):
+    """Run by test_pm_graph's test of the same name, so it is not collected here: random
+    covers give labels above others through more than one cover, beside zero counts."""
+    g = MultiplicityGraph(*case)
+    assert g.reach == layout(g)[2]
+
+
+@SETTINGS
+@given(counted_poset())
 def test_dot_text_is_the_layout_drawn_in_its_colors(case):
     g = MultiplicityGraph(*case)
-    names, succ, _ = g.layout()
+    names, succ, _ = layout(g)
     _, white, red_order = g.colors()
     styles = {
         (False, False): "style=dashed",
